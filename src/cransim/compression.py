@@ -76,7 +76,9 @@ def waterfill(lam, R, surcharge=0.0):
     log2(lam_j), where R_eff = R - surcharge * n charges any fixed per-scalar
     quantiser overhead against the budget. Components with non-positive rates
     are removed (they are always the smallest eigenvalues) and the allocation
-    repeated until all remaining rates are positive.
+    repeated until all remaining rates are positive. With a surcharge the
+    active count this settles on is a heuristic, not the capacity-optimal
+    count: another count can give more capacity.
 
     Returns (rates, n_active) with zeros for inactive components.
     """

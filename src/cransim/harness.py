@@ -16,14 +16,16 @@ import numpy as np
 
 from . import capacity as cap
 from .compression import build_plan
-from .csi import estimate_channels, whiten
-from .dimred import full_joint_mi, mfgs_select, signal_space_basis, truncate_selection
+from .csi import CsiModel, estimate_channels, whiten
+from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
+                     signal_space_basis)
 from .scenario import SystemConfig, generate_realization
 
 CONFIG_SCHEMA = "cransim-sweep-v1"
 
 MODES = ("proposed", "local_baseline", "unquantized", "cutset")
 CSI_MODES = ("perfect", "pilot")
+_CSI_LABELS = {"perfect": "perfect", "pilot": "lower-bound"}
 SWEEP_VARIABLES = ("fronthaul_rate", "rho", "N", "pilot_snr")
 
 OUTPUTS = ("sum_capacity", "user_capacity", "baseline", "mi_proportion", "cutset", "best_n")
@@ -133,75 +135,94 @@ def _check_dimension_advice(config):
             stacklevel=3)
 
 
-def _csi_state(channels, config, csi_mode, pilot_rng_factory):
-    """Selection-domain channels and whitening state for one realization.
-
-    Returns (H_sel, phi_true_H, omega_inv_sqrt, csi_model, csi_label): under
-    pilot CSI H_sel holds the whitened estimates and phi_true_H the true
-    channels for quantiser-noise evaluation; under perfect CSI the latter two
-    are None and H_sel is the truth.
-    """
-    if csi_mode == "perfect":
-        return channels.H, None, None, None, "perfect"
-    if csi_mode != "pilot":
-        raise ValueError(f"csi mode must be one of {CSI_MODES}")
-    if isinstance(config.pilot_snr, str):
+def _check_csi(csi, configs):
+    """CSI configuration errors, raised as ValueError before any trial runs."""
+    if csi not in CSI_MODES:
+        raise ValueError(f"csi must be one of {CSI_MODES}")
+    if csi == "pilot" and any(isinstance(cfg.pilot_snr, str) for cfg in configs):
         raise ValueError("csi mode 'pilot' requires a numeric pilot_snr in the config")
-    model = estimate_channels(channels, config.pilot_snr, pilot_rng_factory())
-    H_check, omega_inv_sqrt = whiten(model, config.rho)
-    return H_check, channels.H, omega_inv_sqrt, model, "lower-bound"
 
 
-def _metrics_from_report(report):
-    return {
-        "sum_capacity": report.sum_capacity,
-        "lmmse_sum_capacity": float(np.sum(report.user_capacity)),
-        "user_capacity": report.user_capacity,
-        "sqinr": report.sqinr,
-        "reduced_mi": report.reduced_mi,
-        "full_mi": report.full_mi,
-        "mi_proportion": report.reduced_mi / report.full_mi if report.full_mi > 0 else 0.0,
-        "cutset": report.cutset,
-    }
+@dataclass
+class _Design:
+    """Rate-independent state of one (trial, rho, CSI state), shared by every mode, rate and N.
+
+    H holds the design channels: the truth under perfect CSI, the whitened
+    estimates under pilot CSI, where H_true, omega_inv_sqrt and csi_model
+    carry the rest of the CSI state (None under perfect CSI). selection is one
+    greedy run at the largest dimension any caller reads: by the prefix
+    property its first n rounds are the run at n. cutset_mi is the
+    full-dimension MI of the true channels, which the cut-set bound uses.
+    """
+
+    rho: float
+    H: list
+    H_true: list | None
+    omega_inv_sqrt: list | None
+    csi_model: CsiModel | None
+    full_mi: float
+    cutset_mi: float
+    selection: DimensionReductionResult | None
+    baseline_Q: list | None
 
 
-def _evaluate_mode(channels, config, mode, H_sel, phi_true_H, omega_inv_sqrt,
-                   csi_label, selection=None, surcharge=0.0, want_details=False):
-    """Metrics of one mode on one realization. Returns (metrics, details)."""
-    rho, R = config.rho, config.fronthaul_rate
+def _design(channels, config, csi, pilot_rng_factory, nmax, baseline):
+    """Build the _Design of one realization; nmax = 0 skips selection."""
+    rho, H, H_true, omega_inv_sqrt, model = config.rho, channels.H, None, None, None
+    if csi == "pilot":
+        model = estimate_channels(channels, config.pilot_snr, pilot_rng_factory())
+        H, omega_inv_sqrt = whiten(model, rho)
+        H_true = channels.H
+    full_mi = full_joint_mi(H, rho)
+    return _Design(rho=rho, H=H, H_true=H_true, omega_inv_sqrt=omega_inv_sqrt,
+                   csi_model=model, full_mi=full_mi,
+                   cutset_mi=full_mi if H_true is None else full_joint_mi(H_true, rho),
+                   selection=mfgs_select(H, rho, nmax) if nmax else None,
+                   baseline_Q=signal_space_basis(H) if baseline else None)
 
-    if mode == "cutset":
-        metrics = {"cutset": cap.cutset_bound(channels.H, rho, R),
-                   "full_mi": full_joint_mi(H_sel, rho)}
-        return metrics, None
 
-    if mode == "local_baseline":
-        Q = signal_space_basis(H_sel)
-        reduced_mi = full_joint_mi(H_sel, rho)   # the signal-space basis is lossless
-        selection = None
-    elif mode in ("proposed", "unquantized"):
-        if selection is None:
-            selection = mfgs_select(H_sel, rho, config.N)
-        Q = selection.Q
-        reduced_mi = selection.mi
-    else:
-        raise ValueError(f"mode must be one of {MODES}")
+_CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}
+_LMMSE_METRICS = {"lmmse_sum_capacity", "user_capacity", "sqinr"}
+_TRIAL_METRICS = _CAPACITY_METRICS | {"reduced_mi", "full_mi", "mi_proportion", "cutset"}
 
-    if mode == "unquantized":
-        G = [Ql.conj().T @ Hl for Ql, Hl in zip(Q, H_sel)]
-        phi = [np.zeros(Gl.shape[0]) for Gl in G]
-        plan = None
-    else:
-        plan = build_plan(Q, H_sel, R, rho, H_true_list=phi_true_H,
-                          omega_inv_sqrt_list=omega_inv_sqrt, surcharge=surcharge)
-        G, phi = plan.active_channels()
 
-    report = cap.capacity_report(G, phi, channels.H, H_sel, rho, R, reduced_mi,
-                                 csi_mode=csi_label)
-    details = None
-    if want_details:
-        details = {"selection": selection, "plan": plan, "report": report}
-    return _metrics_from_report(report), details
+def _n_column(mode, config):
+    """Dimension a mode's rows use (and report in the CSV N column)."""
+    return {"proposed": config.N, "unquantized": config.N,
+            "local_baseline": config.max_components, "cutset": 0}[mode]
+
+
+def _evaluate(design, mode, n, R, wanted, surcharge):
+    """The metrics in `wanted` for one (mode, n, R) on a design. Returns (metrics, plan).
+
+    The only place the harness builds a compression plan and computes
+    capacities; both happen only when a capacity metric is wanted.
+    """
+    rho, H, sel = design.rho, design.H, design.selection
+    out = {"full_mi": design.full_mi, "cutset": min(R * len(H), design.cutset_mi)}
+    if mode != "cutset":
+        out["reduced_mi"] = (design.full_mi if mode == "local_baseline"   # lossless basis
+                             else float(sel.mi_trajectory[n * len(H) - 1]))
+        out["mi_proportion"] = (out["reduced_mi"] / design.full_mi
+                                if design.full_mi > 0 else 0.0)
+
+    plan = None
+    if wanted & _CAPACITY_METRICS:
+        Q = design.baseline_Q if mode == "local_baseline" else [Ql[:, :n] for Ql in sel.Q]
+        if mode == "unquantized":
+            G = [Ql.conj().T @ Hl for Ql, Hl in zip(Q, H)]
+            phi = [np.zeros(Gl.shape[0]) for Gl in G]
+        else:
+            plan = build_plan(Q, H, R, rho, H_true_list=design.H_true,
+                              omega_inv_sqrt_list=design.omega_inv_sqrt, surcharge=surcharge)
+            G, phi = plan.active_channels()
+        K = H[0].shape[1]
+        if "sum_capacity" in wanted:
+            out["sum_capacity"] = cap.sum_capacity(G, phi, rho, K=K)
+        if wanted & _LMMSE_METRICS:
+            out["sqinr"], out["user_capacity"] = cap.lmmse_sqinr(G, phi, rho, K=K)
+            out["lmmse_sum_capacity"] = float(np.sum(out["user_capacity"]))
+    return {m: v for m, v in out.items() if m in wanted}, plan
 
 
 def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
@@ -213,191 +234,143 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if mode in ("proposed", "unquantized"):
+    _check_csi(csi, [config])
+    selects = mode in ("proposed", "unquantized")
+    if selects:
         _check_dimension_advice(config)
     channels = generate_realization(config, trial_stream(config.rng_seed, trial, 0))
-    H_sel, phi_true_H, omega_inv_sqrt, csi_model, csi_label = _csi_state(
-        channels, config, csi, lambda: trial_stream(config.rng_seed, trial, 1))
+    n = _n_column(mode, config)
+    wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS
     try:
-        metrics, det = _evaluate_mode(channels, config, mode, H_sel, phi_true_H,
-                                      omega_inv_sqrt, csi_label,
-                                      surcharge=surcharge, want_details=details)
+        design = _design(channels, config, csi, lambda: trial_stream(config.rng_seed, trial, 1),
+                         n if selects else 0, mode == "local_baseline")
+        metrics, plan = _evaluate(design, mode, n, config.fronthaul_rate, wanted, surcharge)
     except Exception as exc:
         raise RuntimeError(f"trial {trial} failed in mode '{mode}' (csi={csi})") from exc
-    if details and det is not None:
-        det["channels"] = channels
-        det["csi"] = csi_model
+    det = None
+    if details and mode != "cutset":
+        det = {"selection": design.selection, "plan": plan, "channels": channels,
+               "csi": design.csi_model}
     return TrialRecord(trial=trial, seed=config.rng_seed, config=config, mode=mode,
-                       csi_mode=csi_label, metrics=metrics, details=det)
+                       csi_mode=_CSI_LABELS[csi], metrics=metrics, details=det)
 
 
 def best_dimension(config, R, n_candidates, trials, csi="perfect", surcharge=0.0):
     """Pick the reduced dimension maximising mean sum capacity at fronthaul rate R.
 
-    One greedy run at max(n_candidates) serves every candidate via the prefix
-    property. Returns (best_n, best_mean_capacity); ties go to the smaller N.
+    A view of run_sweep's best_n output on the single value R. Returns
+    (best_n, best_mean_capacity); ties go to the smaller N.
     """
-    cands = sorted({int(n) for n in n_candidates})
-    if not cands or cands[0] < 1 or cands[-1] > config.max_components:
-        raise ValueError(f"n_candidates must be a non-empty subset of [1, {config.max_components}]")
-    cfg = replace(config, fronthaul_rate=R, N=cands[-1])
-    sums = {n: 0.0 for n in cands}
-    for trial in range(trials):
-        channels = generate_realization(cfg, trial_stream(cfg.rng_seed, trial, 0))
-        H_sel, phi_true_H, omega_inv_sqrt, _, _ = _csi_state(
-            channels, cfg, csi, lambda: trial_stream(cfg.rng_seed, trial, 1))
-        sel = mfgs_select(H_sel, cfg.rho, cands[-1])
-        for n in cands:
-            seln = sel if n == cands[-1] else truncate_selection(sel, H_sel, cfg.rho, n)
-            plan = build_plan(seln.Q, H_sel, R, cfg.rho, H_true_list=phi_true_H,
-                              omega_inv_sqrt_list=omega_inv_sqrt, surcharge=surcharge)
-            G, phi = plan.active_channels()
-            sums[n] += cap.sum_capacity(G, phi, cfg.rho, K=cfg.K)
-    best_n = cands[0]
-    for n in cands[1:]:
-        if sums[n] > sums[best_n]:
-            best_n = n
-    return best_n, sums[best_n] / trials
+    spec = SweepSpec(base=config, sweep_variable="fronthaul_rate", values=[R],
+                     trials=trials, outputs=("best_n",), n_candidates=tuple(n_candidates))
+    (row,) = run_sweep(spec, csi=csi, surcharge=surcharge)
+    return row.N, row.mean
 
 
 def mi_proportion_sweep(config, rho_values, n_values, trials):
     """Mean captured proportion of the full-dimension MI, over an (SNR, N) grid.
 
     Returns an array of shape (len(rho_values), len(n_values)) with
-    E[reduced MI / full MI] under perfect CSI; one greedy run at max(n_values)
-    per (trial, SNR) serves all N via the recorded MI trajectory.
+    E[reduced MI / full MI] under perfect CSI. The grid is one batch of the
+    sweep kernel: each trial draws its channels once, and one greedy run per
+    (trial, SNR) serves every N.
     """
     n_values = [int(n) for n in n_values]
-    if any(not 1 <= n <= config.max_components for n in n_values):
-        raise ValueError(f"n_values must lie in [1, {config.max_components}]")
-    nmax = max(n_values)
-    out = np.zeros((len(rho_values), len(n_values)))
+    grid = [(rho, n) for rho in rho_values for n in n_values]
+    configs = [replace(config, rho=rho, N=n) for rho, n in grid]
+    samples = _collect(config, configs, [f"rho={rho}, N={n}" for rho, n in grid],
+                       trials, "perfect", 0.0, {"unquantized": {"mi_proportion"}}, [])
+    means = [np.mean(samples[(i, "unquantized", n, "mi_proportion")])
+             for i, (_, n) in enumerate(grid)]
+    return np.reshape(means, (len(rho_values), len(n_values)))
+
+
+def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
+    """Per-trial samples of every evaluation the configs need.
+
+    read maps each mode to the metrics its rows read; each best-N candidate
+    in cands adds a proposed sum capacity. Returns lists keyed by (config
+    index, mode, n, metric). Per trial, one design serves every config with
+    the same SNR and CSI state, so results do not depend on which configs
+    share a batch. A failure is re-raised as a RuntimeError naming the trial,
+    the config's label, the mode and the CSI mode.
+    """
+    dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
+    nmax = max(dims + cands, default=0)
+
+    # per config: (mode, n) -> metrics; proposed at cfg.N doubles as best-N candidate cfg.N
+    evaluations = []
+    for cfg in configs:
+        ev = {(mode, _n_column(mode, cfg)): set(metrics) for mode, metrics in read.items()}
+        for n in cands:
+            ev.setdefault(("proposed", n), set()).add("sum_capacity")
+        evaluations.append(ev)
+
+    samples = {}
     for trial in range(trials):
-        channels = generate_realization(config, trial_stream(config.rng_seed, trial, 0))
-        for i, rho in enumerate(rho_values):
-            sel = mfgs_select(channels.H, rho, nmax)
-            full = full_joint_mi(channels.H, rho)
-            for j, n in enumerate(n_values):
-                out[i, j] += sel.mi_trajectory[n * config.L - 1] / full
-    return out / trials
-
-
-def _aggregate(values_by_key, pooled):
-    """(mean, p05) of a sample list; pooled user samples are concatenated first."""
-    if pooled:
-        data = np.concatenate(values_by_key)
-    else:
-        data = np.asarray(values_by_key, dtype=float)
-    return float(np.mean(data)), float(np.percentile(data, 5.0))
+        channels = generate_realization(base, trial_stream(base.rng_seed, trial, 0))
+        designs = {}
+        for ci, cfg in enumerate(configs):
+            mode = n = None
+            try:
+                key = (cfg.pilot_snr if csi == "pilot" else "perfect", cfg.rho)
+                if key not in designs:
+                    designs[key] = _design(channels, cfg, csi,
+                                           lambda: trial_stream(base.rng_seed, trial, 1),
+                                           nmax, "local_baseline" in read)
+                for (mode, n), wanted in evaluations[ci].items():
+                    metrics, _ = _evaluate(designs[key], mode, n, cfg.fronthaul_rate,
+                                           wanted, surcharge)
+                    for metric, value in metrics.items():
+                        samples.setdefault((ci, mode, n, metric), []).append(value)
+            except Exception as exc:
+                step = "the design step" if mode is None else f"mode '{mode}' at N={n}"
+                raise RuntimeError(f"trial {trial} failed at {labels[ci]} in {step} "
+                                   f"(csi={csi})") from exc
+    return samples
 
 
 def run_sweep(spec, csi="perfect", surcharge=0.0):
     """Run a full Monte-Carlo sweep and aggregate it into CSV-ready rows.
 
     Trials are paired: every sweep value and mode sees the same channel draws
-    (and the same pilot noise under pilot CSI). Selections are cached per
-    trial and reused across sweep values whenever the SNR and CSI state do
-    not change, and truncated to each requested dimension via the prefix
-    property.
+    (and the same pilot noise under pilot CSI). One greedy selection per trial
+    and SNR/CSI state, at the largest dimension any row needs, serves every
+    value, mode and best-N candidate through the prefix property, so results
+    do not depend on which values share a sweep. A failure is re-raised as a
+    RuntimeError naming the trial, sweep value, mode and CSI mode.
     """
-    if csi not in CSI_MODES:
-        raise ValueError(f"csi must be one of {CSI_MODES}")
     base = spec.base
-    if csi == "pilot" and spec.sweep_variable != "pilot_snr" and isinstance(base.pilot_snr, str):
-        raise ValueError("csi mode 'pilot' requires a numeric pilot_snr in the base config")
-
-    rows_wanted = []
-    for output in spec.outputs:
-        rows_wanted.extend(_OUTPUT_ROWS[output])
-    modes_wanted = {mode for mode, _ in rows_wanted}
-
-    cands = sorted({int(n) for n in spec.n_candidates}) if "best_n" in modes_wanted else []
-
-    # largest selection dimension any value will need, so one greedy run serves all
-    need_sel = {"proposed", "unquantized"} & modes_wanted
-    nmax = 0
-    if need_sel:
-        if spec.sweep_variable == "N":
-            nmax = max(int(v) for v in spec.values)
-        else:
-            nmax = base.N
-    if cands:
-        nmax = max(nmax, cands[-1])
-
     configs = [replace(base, **{spec.sweep_variable: v}) for v in spec.values]
-    if need_sel:
+    _check_csi(csi, configs)
+    rows_wanted = [row for output in spec.outputs for row in _OUTPUT_ROWS[output]]
+    cands = sorted({int(n) for n in spec.n_candidates}) if "best_n" in spec.outputs else []
+    read = {}   # mode -> metrics its rows read
+    for mode, metric in rows_wanted:
+        if mode != "best_n":
+            read.setdefault(mode, set()).add(metric)
+    if read.keys() & {"proposed", "unquantized"}:
         for cfg in configs:
             _check_dimension_advice(cfg)
+    samples = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
+                       spec.trials, csi, surcharge, read, cands)
 
-    samples = {}          # (value_idx, mode, metric) -> list of scalars or arrays
-    bestn_samples = {}    # (value_idx, n) -> list of sum capacities
-
-    def push(vi, mode, metric, value):
-        samples.setdefault((vi, mode, metric), []).append(value)
-
-    for trial in range(spec.trials):
-        channels = generate_realization(base, trial_stream(base.rng_seed, trial, 0))
-        csi_cache = {}
-        sel_cache = {}
-
-        for vi, cfg in enumerate(configs):
-            csi_key = (cfg.pilot_snr if csi == "pilot" else "perfect", cfg.rho)
-            if csi_key not in csi_cache:
-                csi_cache[csi_key] = _csi_state(
-                    channels, cfg, csi, lambda: trial_stream(base.rng_seed, trial, 1))
-            H_sel, phi_true_H, omega_inv_sqrt, _, csi_label = csi_cache[csi_key]
-
-            selection = None
-            if need_sel or cands:
-                if csi_key not in sel_cache:
-                    sel_cache[csi_key] = mfgs_select(H_sel, cfg.rho, max(nmax, cfg.N))
-                sel_full = sel_cache[csi_key]
-                if cfg.N < len(sel_full.S[0]):
-                    selection = truncate_selection(sel_full, H_sel, cfg.rho, cfg.N)
-                else:
-                    selection = sel_full
-
-            for mode in MODES:
-                if mode not in modes_wanted:
-                    continue
-                metrics, _ = _evaluate_mode(channels, cfg, mode, H_sel, phi_true_H,
-                                            omega_inv_sqrt, csi_label,
-                                            selection=selection, surcharge=surcharge)
-                for metric in set(m for md, m in rows_wanted if md == mode):
-                    push(vi, mode, metric, metrics[metric])
-
-            if cands:
-                for n in cands:
-                    seln = (sel_full if n == len(sel_full.S[0])
-                            else truncate_selection(sel_full, H_sel, cfg.rho, n))
-                    plan = build_plan(seln.Q, H_sel, cfg.fronthaul_rate, cfg.rho,
-                                      H_true_list=phi_true_H,
-                                      omega_inv_sqrt_list=omega_inv_sqrt,
-                                      surcharge=surcharge)
-                    G, phi = plan.active_channels()
-                    bestn_samples.setdefault((vi, n), []).append(
-                        cap.sum_capacity(G, phi, cfg.rho, K=cfg.K))
-
-    csi_label_out = "perfect" if csi == "perfect" else "lower-bound"
     rows = []
-    for vi, (v, cfg) in enumerate(zip(spec.values, configs)):
+    for ci, (v, cfg) in enumerate(zip(spec.values, configs)):
         for mode, metric in rows_wanted:
             if mode == "best_n":
-                means = {n: float(np.mean(bestn_samples[(vi, n)])) for n in cands}
-                best = cands[0]
-                for n in cands[1:]:
-                    if means[n] > means[best]:
-                        best = n
-                mean, p05 = _aggregate(bestn_samples[(vi, best)], pooled=False)
-                n_col = best
+                n = max(cands, key=lambda c: np.mean(samples[(ci, "proposed", c, metric)]))
+                data = samples[(ci, "proposed", n, metric)]
             else:
-                key = (vi, mode, metric)
-                mean, p05 = _aggregate(samples[key], pooled=(metric == "user_capacity"))
-                n_col = {"proposed": cfg.N, "unquantized": cfg.N,
-                         "local_baseline": cfg.max_components, "cutset": 0}[mode]
-            rows.append(SweepRow(sweep_var=spec.sweep_variable, value=float(v),
-                                 mode=mode, csi_mode=csi_label_out, N=int(n_col),
-                                 metric=metric, mean=mean, p05=p05,
+                n = _n_column(mode, cfg)
+                data = samples[(ci, mode, n, metric)]
+            # user capacities pool trials x users into one sample
+            data = (np.concatenate(data) if metric == "user_capacity"
+                    else np.asarray(data, dtype=float))
+            rows.append(SweepRow(sweep_var=spec.sweep_variable, value=float(v), mode=mode,
+                                 csi_mode=_CSI_LABELS[csi], N=int(n), metric=metric,
+                                 mean=float(np.mean(data)),
+                                 p05=float(np.percentile(data, 5.0)),
                                  trials=spec.trials, seed=base.rng_seed))
     return rows
 

@@ -6,6 +6,8 @@ each one owns its own generator stream.
 """
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,28 +56,32 @@ class SystemConfig:
         return min(self.M, self.K)
 
     def validate(self):
-        for name in ("K", "L", "M", "N"):
+        for name in ("K", "L", "M", "N", "rng_seed"):
             value = getattr(self, name)
-            if int(value) != value:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("rho", "area_side_m", "user_height_m", "rx_height_m",
+                     "pathloss_exponent", "shadow_sigma_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.K < 1 or self.L < 1 or self.M < 1:
             raise ValueError("K, L, M must be positive integers")
         if not 1 <= self.N <= self.max_components:
             raise ValueError(f"N must satisfy 1 <= N <= min(M, K) = {self.max_components}")
         if self.rho <= 0:
             raise ValueError("rho must be a positive linear SNR")
-        if self.fronthaul_rate < 0:
-            raise ValueError("fronthaul_rate must be >= 0")
+        if not self.fronthaul_rate >= 0:       # NaN fails; inf is the unquantized limit
+            raise ValueError("fronthaul_rate must be >= 0 (inf for no quantisation)")
         if isinstance(self.pilot_snr, str):
             if self.pilot_snr != PERFECT_CSI:
                 raise ValueError(f"pilot_snr must be a positive number or '{PERFECT_CSI}'")
-        elif self.pilot_snr <= 0:
-            raise ValueError("pilot_snr must be > 0 (or 'perfect')")
+        elif not (math.isfinite(self.pilot_snr) and self.pilot_snr > 0):
+            raise ValueError("pilot_snr must be finite and > 0 (or 'perfect')")
         if self.area_side_m <= 0 or self.user_height_m < 0 or self.rx_height_m < 0:
             raise ValueError("geometry parameters must be non-negative (area side positive)")
         if self.shadow_sigma_db < 0:
             raise ValueError("shadow_sigma_db must be >= 0")
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
+        if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative integer")
 
 

@@ -12,17 +12,40 @@ from .compression import build_plan, quant_noise, waterfill
 from .dimred import (full_joint_mi, joint_mi, mfgs_select, orthonormalize,
                      signal_space_basis, stage_gain_diagnostics)
 from .harness import run_trial, trial_stream
+from .linalg import NumericalError
 from .scenario import SystemConfig, generate_realization, power_control
 
 
-def _random_channels(K, L, M, rng):
-    return [(rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))) / np.sqrt(2)
+def random_channels(K, L, M, rng):
+    """Plain i.i.d. complex Gaussian channel set, one (M, K) matrix per receiver."""
+    return [(rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))) / np.sqrt(2.0)
             for _ in range(L)]
 
 
-def _greedy_scratch(H, rho, N):
-    """Greedy selection re-derived by recomputing the joint MI from scratch
-    for every candidate at every stage (no running inverse, no projections)."""
+def _joint_matrix(bases, H, rho):
+    """I_K + rho * sum_l H_l' Q_l Q_l' H_l, formed directly from the bases."""
+    B = np.eye(H[0].shape[1], dtype=complex)
+    for Q, Hl in zip(bases, H):
+        T = np.asarray(Q).conj().T @ Hl
+        B += rho * (T.conj().T @ T)
+    return B
+
+
+def mi_reference(bases, H, rho):
+    """Joint MI in bits via slogdet: an independent route from the package's Cholesky."""
+    sign, logdet = np.linalg.slogdet(_joint_matrix(bases, H, rho))
+    if sign.real <= 0:
+        raise NumericalError("joint-MI matrix is not positive definite")
+    return logdet / np.log(2.0)
+
+
+def greedy_reference(H, rho, N):
+    """Oracle for mfgs_select: the joint MI recomputed from scratch for every candidate.
+
+    No running inverse and no projection matrices: Gram-Schmidt residuals are
+    formed against the stored bases, and ties break to the lowest user index
+    within a relative window, as documented. Returns the users per receiver.
+    """
     L = len(H)
     M, K = H[0].shape
     S = [[] for _ in range(L)]
@@ -35,15 +58,15 @@ def _greedy_scratch(H, rho, N):
                     continue
                 h = H[l][:, k].astype(complex)
                 resid = h - bases[l] @ (bases[l].conj().T @ h)
-                if np.real(resid.conj() @ resid) <= 1e-12:
+                if float(np.real(resid.conj() @ resid)) <= 1e-12:
                     continue
                 q = resid / np.linalg.norm(resid)
-                cand = [np.column_stack([bases[i], q]) if i == l else bases[i]
-                        for i in range(L)]
-                options.append((k, joint_mi(cand, H, rho), q))
+                trial = [np.column_stack([bases[i], q]) if i == l else bases[i]
+                         for i in range(L)]
+                options.append((k, mi_reference(trial, H, rho), q))
             if not options:
                 continue
-            best = max(val for _, val, _ in options)
+            best = max(v for _, v, _ in options)
             window = 1e-12 * max(1.0, abs(best))
             k, _, q = next(opt for opt in options if opt[1] >= best - window)
             S[l].append(k)
@@ -76,7 +99,7 @@ def run_validation(seed=0):
           all(np.array_equal(x, y) for x, y in zip(a.H, b.H)))
 
     # data-processing identity and lossless limit
-    H = _random_channels(6, 3, 4, rng)
+    H = random_channels(6, 3, 4, rng)
     F = [Hl[:, :3] @ (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
          for Hl in H]
     mi_raw = joint_mi(F, H, 10.0)
@@ -88,20 +111,15 @@ def run_validation(seed=0):
           abs(sel.mi - full_joint_mi(H, 10.0)) < 1e-8)
 
     # greedy against scratch recomputation
-    H = _random_channels(5, 2, 3, rng)
+    H = random_channels(5, 2, 3, rng)
     sel = mfgs_select(H, 8.0, 2)
     check("greedy selection matches scratch per-stage search",
-          sel.S == _greedy_scratch(H, 8.0, 2), f"{sel.S}")
+          sel.S == greedy_reference(H, 8.0, 2), f"{sel.S}")
 
     # rank-1 update against direct inversion
-    H = _random_channels(6, 3, 4, rng)
+    H = random_channels(6, 3, 4, rng)
     sel = mfgs_select(H, 12.0, 3)
-    K = 6
-    B = np.eye(K, dtype=complex)
-    for Ql, Hl in zip(sel.Q, H):
-        T = Ql.conj().T @ Hl
-        B += 12.0 * (T.conj().T @ T)
-    direct = np.linalg.inv(B)
+    direct = np.linalg.inv(_joint_matrix(sel.Q, H, 12.0))
     err = np.linalg.norm(sel.A_final - direct) / np.linalg.norm(direct)
     check("rank-1 running inverse matches direct inversion", err < 1e-8, f"rel err {err:.2e}")
 
@@ -147,7 +165,7 @@ def run_validation(seed=0):
           0 <= gap < 1e-4, f"gap {gap:.2e} bits")
 
     # local baseline eigenvalues: signal-space basis is lossless
-    H = _random_channels(4, 2, 3, rng)
+    H = random_channels(4, 2, 3, rng)
     Q = signal_space_basis(H)
     check("baseline signal-space basis is lossless",
           abs(joint_mi(Q, H, 5.0) - full_joint_mi(H, 5.0)) < 1e-8)

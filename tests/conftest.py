@@ -2,59 +2,6 @@ import numpy as np
 import pytest
 
 
-def random_channels(K, L, M, rng, scale=1.0):
-    """Plain i.i.d. complex Gaussian channel set, one (M, K) matrix per receiver."""
-    return [scale * (rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K)))
-            / np.sqrt(2.0) for _ in range(L)]
-
-
-def mi_reference(bases, H, rho):
-    """Joint MI in bits via slogdet: an independent route from the package's Cholesky."""
-    K = H[0].shape[1]
-    B = np.eye(K, dtype=complex)
-    for Q, Hl in zip(bases, H):
-        T = np.asarray(Q).conj().T @ Hl
-        B += rho * (T.conj().T @ T)
-    sign, logdet = np.linalg.slogdet(B)
-    assert sign.real > 0
-    return logdet / np.log(2.0)
-
-
-def greedy_reference(H, rho, N):
-    """Greedy selection with the joint MI recomputed from scratch for every candidate.
-
-    No running inverse, no projection matrices: Gram-Schmidt residuals are
-    formed directly against the stored bases, and ties break to the lowest
-    user index within a relative window, mirroring the documented rule.
-    """
-    L = len(H)
-    M, K = H[0].shape
-    S = [[] for _ in range(L)]
-    bases = [np.zeros((M, 0), dtype=complex) for _ in range(L)]
-    for _ in range(N):
-        for l in range(L):
-            options = []
-            for k in range(K):
-                if k in S[l]:
-                    continue
-                h = H[l][:, k].astype(complex)
-                resid = h - bases[l] @ (bases[l].conj().T @ h)
-                if float(np.real(resid.conj() @ resid)) <= 1e-12:
-                    continue
-                q = resid / np.linalg.norm(resid)
-                trial = [np.column_stack([bases[i], q]) if i == l else bases[i]
-                         for i in range(L)]
-                options.append((k, mi_reference(trial, H, rho), q))
-            if not options:
-                continue
-            best = max(v for _, v, _ in options)
-            window = 1e-12 * max(1.0, abs(best))
-            k, _, q = next(opt for opt in options if opt[1] >= best - window)
-            S[l].append(k)
-            bases[l] = np.column_stack([bases[l], q])
-    return S
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

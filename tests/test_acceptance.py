@@ -10,7 +10,6 @@ import time
 import numpy as np
 import scipy.stats
 
-from conftest import greedy_reference, random_channels
 from cransim.capacity import sum_capacity
 from cransim.cli import main as cli_main
 from cransim.compression import build_plan, quant_noise, waterfill
@@ -19,6 +18,7 @@ from cransim.dimred import (full_joint_mi, joint_mi, mfgs_select, orthonormalize
                             truncate_selection)
 from cransim.harness import SweepSpec, run_sweep, run_trial, trial_stream
 from cransim.scenario import SystemConfig, generate_realization
+from cransim.validation import greedy_reference, random_channels
 
 RHO_15DB = 10.0 ** 1.5
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_channels
 from cransim.capacity import (capacity_report, cutset_bound, lmmse_sqinr, lmmse_weights,
                               sum_capacity)
 from cransim.compression import build_plan
 from cransim.dimred import full_joint_mi, joint_mi, mfgs_select
 from cransim.scenario import SystemConfig, generate_realization
+from cransim.validation import random_channels
 
 
 def _pipeline(cfg, seed, R=None):

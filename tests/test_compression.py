@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_channels
 from cransim.capacity import sum_capacity
 from cransim.compression import (LLOYD_MAX_RATE_PENALTY, approx_quant_noise, build_plan,
                                  decorrelate, quant_noise, true_component_variances,
@@ -11,6 +10,7 @@ from cransim.compression import (LLOYD_MAX_RATE_PENALTY, approx_quant_noise, bui
 from cransim.csi import estimate_channels, whiten
 from cransim.dimred import mfgs_select, signal_space_basis
 from cransim.scenario import PERFECT_CSI, SystemConfig, generate_realization
+from cransim.validation import random_channels
 
 
 def _lam_lists(draw_sorted=True):

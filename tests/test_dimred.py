@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import greedy_reference, mi_reference, random_channels
 from cransim.dimred import (full_joint_mi, joint_mi, mfgs_select, orthonormalize,
                             rank1_update, selection_metric, signal_space_basis,
                             stage_gain_diagnostics, truncate_selection)
+from cransim.validation import greedy_reference, mi_reference, random_channels
 
 
 class TestJointMi:

@@ -257,6 +257,31 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="pilot_snr"):
             run_sweep(_spec(), csi="pilot")
 
+    @pytest.mark.parametrize("variable, values, csi", [
+        ("N", [1, 2, 4], "perfect"),               # one selection at max N serves all
+        ("rho", [1.0, 10.0, 100.0], "pilot"),      # one design per (rho, pilot state)
+    ])
+    def test_rows_do_not_depend_on_which_values_share_a_sweep(self, variable, values, csi):
+        cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=10.0)
+
+        def sweep(vals):
+            return run_sweep(_spec(cfg, sweep_variable=variable, values=vals, trials=3,
+                                   outputs=None, n_candidates=(1, 3)), csi=csi)
+
+        singles = {v: sweep([v]) for v in values}
+        for order in (values, values[::-1]):
+            assert sweep(order) == [row for v in order for row in singles[v]]
+
+    def test_failure_names_trial_value_mode_and_csi(self, monkeypatch):
+        def boom(*a, **k):
+            raise ArithmeticError("synthetic failure")
+        monkeypatch.setattr(harness, "build_plan", boom)
+        with pytest.raises(RuntimeError, match=r"trial 0 failed at fronthaul_rate=2.0 "
+                                               r"in mode 'proposed' at N=2 \(csi=perfect\)"
+                           ) as info:
+            run_sweep(_spec())
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
 
 class TestCsv:
     def test_empty_rows_give_header_only(self, tmp_path):

@@ -23,10 +23,22 @@ class TestSystemConfig:
         dict(rho=0.0), dict(rho=-1.0), dict(fronthaul_rate=-0.5),
         dict(pilot_snr=0.0), dict(pilot_snr="genie"), dict(shadow_sigma_db=-1.0),
         dict(rng_seed=-3),
+        dict(rho=float("nan")), dict(rho=float("inf")), dict(fronthaul_rate=float("nan")),
+        dict(pilot_snr=float("nan")), dict(pilot_snr=float("inf")),
+        dict(area_side_m=float("inf")), dict(user_height_m=float("nan")),
+        dict(pathloss_exponent=float("nan")), dict(shadow_sigma_db=float("inf")),
+        dict(K=True, N=1), dict(L=True), dict(M=True, N=1), dict(N=True), dict(rng_seed=False),
+        dict(N=2.0), dict(rng_seed=1.5),
     ])
     def test_invalid_fields_raise(self, kw):
         with pytest.raises(ValueError):
             _cfg(**kw)
+
+    def test_infinite_fronthaul_rate_is_the_unquantized_limit(self):
+        assert _cfg(fronthaul_rate=float("inf")).fronthaul_rate == float("inf")
+
+    def test_numpy_integers_are_integers(self):
+        assert _cfg(K=np.int64(4), N=np.int64(2), rng_seed=np.int64(7)).K == 4
 
     def test_n_bounded_by_min_of_m_and_k(self):
         _cfg(K=2, M=5, N=2)
