@@ -21,7 +21,7 @@ print(f"  lam=[8,1e-3], R=2 -> rates {waterfill(np.array([8.0, 1e-3]), 2.0)[0]}"
 
 for R in (2.0, 8.0, 32.0):
     plan = build_plan(sel.Q, channels.H, R, cfg.rho)
-    cap = sum_capacity(*plan.active_channels(), cfg.rho, K=cfg.K)
+    cap = sum_capacity(plan.G, plan.Phi, cfg.rho)
     print(f"\nfronthaul budget R = {R:.0f} bits/use per receiver "
           f"-> sum capacity {cap:.2f} bits/use")
     for l in range(cfg.L):

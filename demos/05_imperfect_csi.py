@@ -14,9 +14,9 @@ base_fields = dict(K=8, L=4, M=8, N=2, rho=10.0 ** 1.5, rng_seed=5)
 cfg = SystemConfig(pilot_snr=10.0, **base_fields)
 channels = generate_realization(cfg, trial_stream(cfg.rng_seed, 0))
 csi = estimate_channels(channels, cfg.pilot_snr, trial_stream(cfg.rng_seed, 0, 1))
-whiten(csi, cfg.rho)
+_, omega = whiten(csi, cfg.rho)
 print(f"per-antenna error variance, receiver 0: {np.round(csi.err_var[0], 4)}")
-print(f"equivalent-noise inflation Omega_0[0,0]: {csi.Omega[0][0, 0]:.3f} "
+print(f"equivalent-noise inflation omega_0 (Omega_0 = omega_0 I): {omega[0]:.3f} "
       f"(1.0 would be perfect CSI)\n")
 
 # rate-capacity lower bounds for decreasing pilot quality, paired channel draws

@@ -1,11 +1,17 @@
-"""Capacity metrics: optimal and LMMSE detection, references and bounds."""
+"""Capacity metrics: optimal and LMMSE detection, references and bounds.
+
+Equivalent channels G (L, n, K) and quantisation-noise diagonals Phi (L, n)
+come stacked over receivers, as in CompressionPlan; a single receiver's
+(n, K) and (n,) work too. Phi = inf marks a dropped component, whose
+detection weight 1 / (Phi + 1) is exactly 0, so no row filtering is needed.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dimred import full_joint_mi
-from .linalg import hermitize, logdet2_hpd
+from .linalg import adjoint, hermitize, logdet2_hpd
 
 
 @dataclass
@@ -26,59 +32,47 @@ class CapacityReport:
     csi_mode: str = "perfect"
 
 
-def _detection_matrix(G_list, phi_list, rho, K):
-    """I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l, exploiting diagonal Phi."""
-    B = np.eye(K, dtype=complex)
-    for G, phi in zip(G_list, phi_list):
-        if G.shape[0] == 0:
-            continue
-        W = G / (np.asarray(phi, dtype=float) + 1.0)[:, None]
-        B += rho * (G.conj().T @ W)
-    return B
+def _weighted(G, phi):
+    """G_l scaled row-wise by the detection weights 1 / (Phi_l + 1)."""
+    return G / (np.asarray(phi, dtype=float) + 1.0)[..., None]
 
 
-def sum_capacity(G_list, phi_list, rho, K=None):
+def _detection_matrix(G, phi, rho):
+    """I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l as one (L*n, K) product."""
+    K = G.shape[-1]
+    W = _weighted(G, phi).reshape(-1, K)
+    return np.eye(K, dtype=complex) + rho * (G.reshape(-1, K).conj().T @ W)
+
+
+def sum_capacity(G, phi, rho):
     """Sum capacity log2 det(I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l), bits/use.
 
-    G_list rows must already be restricted to active components with the
-    matching diagonal Phi entries. An empty G_list (everything dropped) gives 0,
-    provided K is supplied.
+    Everything dropped (all Phi infinite) gives exactly 0.
     """
-    if not G_list:
-        if K is None:
-            raise ValueError("K is required when all components are dropped")
-        return 0.0
-    return logdet2_hpd(_detection_matrix(G_list, phi_list, rho, G_list[0].shape[1]))
+    return logdet2_hpd(_detection_matrix(G, phi, rho))
 
 
-def lmmse_sqinr(G_list, phi_list, rho, K=None):
+def lmmse_sqinr(G, phi, rho):
     """Per-user SQINR and capacity under LMMSE symbol detection.
 
     SQINR_k = 1 / [(I_K + rho sum G'(Phi+I)^{-1}G)^{-1}]_kk - 1 and
     C_k = log2(1 + SQINR_k). Returns (sqinr, user_capacity), both length K.
     """
-    if not G_list:
-        if K is None:
-            raise ValueError("K is required when all components are dropped")
-        return np.zeros(K), np.zeros(K)
-    B = _detection_matrix(G_list, phi_list, rho, G_list[0].shape[1])
-    Binv = np.linalg.inv(hermitize(B))
+    Binv = np.linalg.inv(hermitize(_detection_matrix(G, phi, rho)))
     d = np.real(np.diag(Binv))
     sqinr = np.maximum(1.0 / d - 1.0, 0.0)
     return sqinr, np.log2(1.0 + sqinr)
 
 
-def lmmse_weights(G_list, phi_list, rho):
-    """Explicit LMMSE combining weights, one (K, n_active) matrix per receiver.
+def lmmse_weights(G, phi, rho):
+    """Explicit LMMSE combining weights, stacked (L, K, n) like G.
 
-    W_l = rho * (I + rho sum G'(Phi+I)^{-1}G)^{-1} G_l' (Phi_l + I)^{-1}.
-    Diagnostic companion to lmmse_sqinr; applying these weights attains the
-    same per-user SQINR.
+    W_l = rho * (I + rho sum G'(Phi+I)^{-1}G)^{-1} G_l' (Phi_l + I)^{-1};
+    a dropped component gets a zero column. Diagnostic companion to
+    lmmse_sqinr; applying these weights attains the same per-user SQINR.
     """
-    B = _detection_matrix(G_list, phi_list, rho, G_list[0].shape[1])
-    Binv = np.linalg.inv(hermitize(B))
-    return [rho * (Binv @ G.conj().T) / (np.asarray(phi, dtype=float) + 1.0)[None, :]
-            for G, phi in zip(G_list, phi_list)]
+    Binv = np.linalg.inv(hermitize(_detection_matrix(G, phi, rho)))
+    return rho * (Binv @ adjoint(_weighted(G, phi)))
 
 
 def cutset_bound(H, rho, R):
@@ -86,7 +80,7 @@ def cutset_bound(H, rho, R):
     return min(R * len(H), full_joint_mi(H, rho))
 
 
-def capacity_report(G_list, phi_list, H_cutset, H_reference, rho, R, reduced_mi,
+def capacity_report(G, phi, H_cutset, H_reference, rho, R, reduced_mi,
                     csi_mode="perfect"):
     """Assemble the CapacityReport for one realized compression pipeline.
 
@@ -94,10 +88,9 @@ def capacity_report(G_list, phi_list, H_cutset, H_reference, rho, R, reduced_mi,
     estimates under imperfect CSI) and fixes full_mi; H_cutset carries the true
     channels for the cut-set bound.
     """
-    K = H_reference[0].shape[1]
-    sqinr, user_c = lmmse_sqinr(G_list, phi_list, rho, K=K)
+    sqinr, user_c = lmmse_sqinr(G, phi, rho)
     return CapacityReport(
-        sum_capacity=sum_capacity(G_list, phi_list, rho, K=K),
+        sum_capacity=sum_capacity(G, phi, rho),
         user_capacity=user_c,
         sqinr=sqinr,
         cutset=cutset_bound(H_cutset, rho, R),

@@ -2,16 +2,17 @@
 
 Each receiver decorrelates its filtered signal, waterfills the fronthaul
 budget over the component log-eigenvalues, and models each scalar quantiser
-as additive Gaussian noise at the rate-distortion level. No bit-level codec
-is built; fixed-rate Lloyd-Max quantisation can be modelled by a per-scalar
-rate surcharge.
+as additive Gaussian noise at the rate-distortion level. Receivers compress
+independently, so every step runs on (L, ...) stacks in one numpy call. No
+bit-level codec is built; fixed-rate Lloyd-Max quantisation can be modelled
+by a per-scalar rate surcharge.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, hermitize
+from .linalg import NumericalError, adjoint, hermitize
 
 # extra bits per scalar for fixed-rate Lloyd-Max quantisers relative to
 # ideal Gaussian compression
@@ -24,49 +25,39 @@ EIG_CLAMP_TOL = 1e-12
 class CompressionPlan:
     """Transform-coding state for all receivers at a given fronthaul rate.
 
-    Per receiver: decorrelating transform V (unitary columns, eigenvector
-    order matching the descending eigenvalues lam), waterfilled rates,
-    quantisation-noise diagonal Phi (np.inf marks dropped zero-rate
-    components), equivalent channel G = V' Q' H, and the number of active
-    components.
+    Arrays are stacked over receivers on their leading axis, with n the
+    reduced dimension: decorrelating transforms V (L, n, n) with unitary
+    columns in the order of the descending eigenvalues lam (L, n),
+    waterfilled rates (L, n), quantisation-noise diagonals Phi (L, n),
+    equivalent channels G = V' Q' H (L, n, K), and active component counts
+    (L,). Phi = np.inf marks a dropped zero-rate component: its detection
+    weight 1 / (Phi + 1) is exactly 0, which is information-equivalent to
+    not forwarding it.
     """
 
-    V: list
-    lam: list
-    rates: list
-    Phi: list
-    G: list
-    active: list
-
-    def active_channels(self):
-        """Rows of G and entries of Phi restricted to positive-rate components.
-
-        Receivers with no active component are omitted entirely; dropping a
-        component is information-equivalent to infinite quantisation noise.
-        """
-        G_act, phi_act = [], []
-        for G, phi, r in zip(self.G, self.Phi, self.rates):
-            mask = r > 0
-            if not np.any(mask):
-                continue
-            G_act.append(G[mask, :])
-            phi_act.append(phi[mask])
-        return G_act, phi_act
+    V: np.ndarray
+    lam: np.ndarray
+    rates: np.ndarray
+    Phi: np.ndarray
+    G: np.ndarray
+    active: np.ndarray
 
 
 def decorrelate(Q, H):
-    """Eigendecomposition of Q' H H' Q: decorrelating transform and eigenvalues.
+    """Eigendecomposition of Q' H H' Q: decorrelating transforms and eigenvalues.
 
-    Returns (V, lam) with lam sorted descending and the columns of V ordered to
-    match; numerically negative eigenvalues within tolerance are clamped to 0.
+    Works on the trailing two axes, so Q (..., M, n) and H (..., M, K) may be
+    stacks. Returns (V, lam) with lam sorted descending and the columns of V
+    ordered to match; numerically negative eigenvalues within a tolerance
+    relative to each matrix's own largest |eigenvalue| are clamped to 0.
     """
-    T = Q.conj().T @ H
-    S = hermitize(T @ T.conj().T)
-    w, V = np.linalg.eigh(S)
-    if np.any(w < -EIG_CLAMP_TOL * max(1.0, float(np.max(np.abs(w), initial=0.0)))):
+    T = adjoint(Q) @ H
+    w, V = np.linalg.eigh(hermitize(T @ adjoint(T)))
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
+    if np.any(w < -EIG_CLAMP_TOL * scale[..., None]):
         raise NumericalError("signal covariance has a significantly negative eigenvalue")
     w = np.maximum(w, 0.0)
-    return V[:, ::-1], w[::-1]
+    return V[..., ::-1], w[..., ::-1]
 
 
 def waterfill(lam, R, surcharge=0.0):
@@ -80,29 +71,29 @@ def waterfill(lam, R, surcharge=0.0):
     active count this settles on is a heuristic, not the capacity-optimal
     count: another count can give more capacity.
 
-    Returns (rates, n_active) with zeros for inactive components.
+    lam may be a stack (..., n) of descending rows, each allocated its own
+    budget R; rows repeat the drop step independently until none changes.
+    Returns (rates, n_active) with zeros for inactive components and
+    n_active of shape lam.shape[:-1].
     """
     lam = np.asarray(lam, dtype=float)
     if R < 0:
         raise ValueError("rate budget must be >= 0")
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be non-negative")
-    if np.any(np.diff(lam) > 1e-12 * max(1.0, float(lam[0]) if lam.size else 1.0)):
+    if np.any(np.diff(lam, axis=-1) > 1e-12 * np.maximum(1.0, lam[..., :1])):
         raise ValueError("eigenvalues must be sorted descending")
 
-    rates = np.zeros(lam.size)
-    active = np.nonzero(lam > 0)[0]
-    while active.size > 0:
-        n = active.size
-        r_eff = R - surcharge * n
-        log_lam = np.log2(lam[active])
-        r = r_eff / n + log_lam - np.mean(log_lam)
-        keep = r > 0
-        if np.all(keep):
-            rates[active] = r
-            return rates, int(n)
-        active = active[keep]
-    return rates, 0
+    active = lam > 0
+    log_lam = np.log2(np.where(active, lam, 1.0))
+    while True:
+        n = np.maximum(np.count_nonzero(active, axis=-1), 1)[..., None]
+        mean = np.sum(np.where(active, log_lam, 0.0), axis=-1, keepdims=True) / n
+        rates = (R - surcharge * n) / n + log_lam - mean
+        keep = active & (rates > 0)
+        if np.array_equal(keep, active):
+            return np.where(active, rates, 0.0), np.count_nonzero(active, axis=-1)
+        active = keep
 
 
 def quant_noise(lam, rates, rho):
@@ -127,17 +118,20 @@ def quant_noise_from_variances(variances, rates):
     return phi
 
 
-def true_component_variances(V, Q, omega_inv_sqrt, H_true, rho):
+def true_component_variances(V, Q, omega, H_true, rho):
     """Actual variances of the quantiser inputs when CSI is imperfect.
 
-    The transform chain Omega^{-1/2} Q V was designed from estimated channels,
-    but the signal passing through it came over the true channel, so the
-    component variances are diag(V'Q'Omega^{-1/2} (rho H H' + I) Omega^{-1/2} Q V).
+    The transform chain omega^{-1/2} Q V was designed from whitened estimated
+    channels, but the signal passing through it came over the true channel,
+    so the component variances are
+    diag(V'Q' (rho H H' + I) Q V) / omega. omega holds the equivalent-noise
+    level of each receiver, shape (L,) for stacked inputs.
     """
-    T = omega_inv_sqrt @ (Q @ V)          # (M, N)
-    Z = H_true.conj().T @ T               # (K, N)
-    sig = rho * np.real(np.einsum("kn,kn->n", Z.conj(), Z))
-    noise = np.real(np.einsum("mn,mn->n", T.conj(), T))
+    w = 1.0 / np.sqrt(np.asarray(omega, dtype=float))
+    T = w[..., None, None] * (Q @ V)      # (..., M, n)
+    Z = adjoint(H_true) @ T               # (..., K, n)
+    sig = rho * np.real(np.einsum("...kn,...kn->...n", Z.conj(), Z))
+    noise = np.real(np.einsum("...mn,...mn->...n", T.conj(), T))
     return sig + noise
 
 
@@ -151,31 +145,22 @@ def approx_quant_noise(lam, R, N, rho):
     return float(rho * np.exp(np.mean(np.log(lam))) * 2.0 ** (-R / N))
 
 
-def build_plan(Q_list, H_list, R, rho, H_true_list=None, omega_inv_sqrt_list=None,
-               surcharge=0.0):
-    """Assemble the full compression plan across receivers.
+def build_plan(Q, H, R, rho, H_true=None, omega=None, surcharge=0.0):
+    """Assemble the compression plan of every receiver in one stacked pass.
 
-    H_list carries the channels the transforms and rate allocation are designed
-    from (true channels, or whitened estimates under imperfect CSI). When
-    H_true_list and omega_inv_sqrt_list are given, the quantisation-noise
+    Q (L, M, n) holds the reduced bases and H (L, M, K) the channels the
+    transforms and rate allocation are designed from (true channels, or
+    whitened estimates under imperfect CSI). When H_true and the
+    equivalent-noise levels omega (L,) are given, the quantisation-noise
     levels are evaluated against the true channels instead of the design
     eigenvalues.
     """
-    V_all, lam_all, rate_all, phi_all, G_all, active_all = [], [], [], [], [], []
-    for l, (Q, H) in enumerate(zip(Q_list, H_list)):
-        V, lam = decorrelate(Q, H)
-        rates, n_active = waterfill(lam, R, surcharge=surcharge)
-        if H_true_list is None:
-            phi = quant_noise(lam, rates, rho)
-        else:
-            var = true_component_variances(V, Q, omega_inv_sqrt_list[l], H_true_list[l], rho)
-            phi = quant_noise_from_variances(var, rates)
-        G = V.conj().T @ (Q.conj().T @ H)
-        V_all.append(V)
-        lam_all.append(lam)
-        rate_all.append(rates)
-        phi_all.append(phi)
-        G_all.append(G)
-        active_all.append(n_active)
-    return CompressionPlan(V=V_all, lam=lam_all, rates=rate_all, Phi=phi_all,
-                           G=G_all, active=active_all)
+    V, lam = decorrelate(Q, H)
+    rates, active = waterfill(lam, R, surcharge=surcharge)
+    if H_true is None:
+        phi = quant_noise(lam, rates, rho)
+    else:
+        var = true_component_variances(V, Q, omega, H_true, rho)
+        phi = quant_noise_from_variances(var, rates)
+    G = adjoint(V) @ (adjoint(Q) @ H)
+    return CompressionPlan(V=V, lam=lam, rates=rates, Phi=phi, G=G, active=active)

@@ -1,9 +1,10 @@
 """MMSE channel estimation from orthogonal pilots, and noise whitening.
 
 Estimation error is absorbed into an equivalent noise with covariance
-Omega_l = I + rho * sum_k C_lk; whitening by Omega_l^{-1/2} restores a
-unit-variance noise model so the dimension-reduction and compression stages
-can run unchanged on the whitened estimated channels.
+Omega_l = omega_l I, omega_l = 1 + rho * sum_k err_var[l, k]; whitening by
+omega_l^{-1/2} restores a unit-variance noise model so the dimension-reduction
+and compression stages can run unchanged on the whitened estimated channels.
+All arrays are stacked over receivers on their leading axis.
 """
 
 from dataclasses import dataclass
@@ -16,19 +17,15 @@ from .scenario import PERFECT_CSI
 
 @dataclass
 class CsiModel:
-    """Channel estimates plus whitening state for one realization.
+    """Channel estimates of one realization.
 
     err_var[l, k] is the per-antenna MMSE error variance of link (l, k), so the
-    error covariance is err_var[l, k] * I_M. Omega / H_check / omega_inv_sqrt
-    are filled in by whiten() since they depend on the uplink SNR.
+    error covariance is err_var[l, k] * I_M.
     """
 
-    H_hat: list                      # L estimated matrices, (M, K)
+    H_hat: np.ndarray                # (L, M, K) estimated channels
     err_var: np.ndarray              # (L, K)
-    H_true: list                     # the true channels, kept for quantiser-noise evaluation
-    Omega: list | None = None        # L equivalent-noise covariances, (M, M) diagonal
-    H_check: list | None = None      # whitened estimated channels Omega^{-1/2} H_hat
-    omega_inv_sqrt: list | None = None  # L whitening transforms, (M, M) diagonal
+    H_true: np.ndarray               # (L, M, K) true channels, kept for quantiser-noise evaluation
 
 
 def estimate_channels(channels, pilot_snr, rng):
@@ -39,47 +36,33 @@ def estimate_channels(channels, pilot_snr, rng):
     h_hat = sqrt(pilot_snr) s2 / (1 + pilot_snr s2) * y with error variance
     s2 / (1 + pilot_snr s2) per antenna. pilot_snr may be "perfect".
     """
-    L = len(channels.H)
-    M, K = channels.H[0].shape
+    L, M, K = channels.H.shape
     if isinstance(pilot_snr, str):
         if pilot_snr != PERFECT_CSI:
             raise ValueError(f"pilot_snr must be a positive number or '{PERFECT_CSI}'")
-        H_hat = [Hl.copy() for Hl in channels.H]
-        err_var = np.zeros((L, K))
-        return CsiModel(H_hat=H_hat, err_var=err_var, H_true=channels.H)
+        return CsiModel(H_hat=channels.H.copy(), err_var=np.zeros((L, K)), H_true=channels.H)
     if pilot_snr <= 0:
         raise ValueError("pilot_snr must be > 0")
 
     sigma2 = channels.p[None, :] * channels.beta          # (L, K) prior variance
     noise = (rng.standard_normal((L, M, K)) + 1j * rng.standard_normal((L, M, K))) / np.sqrt(2.0)
     coeff = np.sqrt(pilot_snr) * sigma2 / (1.0 + pilot_snr * sigma2)   # (L, K)
-    H_hat = []
-    for l in range(L):
-        y_pilot = np.sqrt(pilot_snr) * channels.H[l] + noise[l]
-        H_hat.append(coeff[l][None, :] * y_pilot)
+    H_hat = coeff[:, None, :] * (np.sqrt(pilot_snr) * channels.H + noise)
     err_var = sigma2 / (1.0 + pilot_snr * sigma2)
     return CsiModel(H_hat=H_hat, err_var=err_var, H_true=channels.H)
 
 
 def whiten(csi, rho):
-    """Compute Omega_l = I + rho * sum_k err_var[l,k] * I and whiten the estimates.
+    """Equivalent-noise levels omega_l = 1 + rho * sum_k err_var[l, k] and whitened estimates.
 
-    Omega is diagonal here (isotropic error covariances), so the whitening
-    transform is the elementwise reciprocal square root of its diagonal.
-    Fills csi.Omega, csi.H_check and csi.omega_inv_sqrt; returns (H_check, omega_inv_sqrt).
+    The error covariances are isotropic, so Omega_l = omega_l I and whitening
+    scales each receiver's estimate by omega_l^{-1/2}. Returns (H_check, omega)
+    with H_check of shape (L, M, K) and omega of shape (L,).
     """
-    L = len(csi.H_hat)
-    M = csi.H_hat[0].shape[0]
-    Omega, H_check, omega_inv_sqrt = [], [], []
-    for l in range(L):
-        diag = np.full(M, 1.0 + rho * float(np.sum(csi.err_var[l])))
-        if np.any(diag <= 0):
-            raise NumericalError(f"equivalent-noise covariance for receiver {l} is not positive definite")
-        w = 1.0 / np.sqrt(diag)
-        Omega.append(np.diag(diag))
-        omega_inv_sqrt.append(np.diag(w))
-        H_check.append(w[:, None] * csi.H_hat[l])
-    csi.Omega = Omega
-    csi.H_check = H_check
-    csi.omega_inv_sqrt = omega_inv_sqrt
-    return H_check, omega_inv_sqrt
+    omega = 1.0 + rho * np.sum(csi.err_var, axis=1)
+    bad = np.nonzero(omega <= 0)[0]
+    if bad.size:
+        raise NumericalError(
+            f"equivalent-noise covariance for receiver {bad[0]} is not positive definite")
+    w = 1.0 / np.sqrt(omega)
+    return w[:, None, None] * csi.H_hat, omega

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, hermitize, logdet2_hpd
+from .linalg import NumericalError, adjoint, hermitize, logdet2_hpd
 
 log = logging.getLogger(__name__)
 
@@ -29,15 +29,19 @@ GAIN_IDENTITY_TOL = 1e-8
 class DimensionReductionResult:
     """Outcome of a greedy selection run.
 
-    S[l] is the ordered list of users selected at receiver l, Q[l] the matching
-    orthonormal basis (one column per selection). mi_trajectory holds the joint
-    mutual information in bits after every single selection step (N*L entries;
-    a skipped receiver repeats the previous value). A_final is the inverse
-    (I + rho * sum H' Q Q' H)^{-1} after the last step.
+    S[l] is the ordered list of users selected at receiver l, and Q (L, M, N)
+    stacks the matching orthonormal bases: Q[l][:, i] is the direction picked
+    in round i. A receiver that was skipped in a round keeps a zero column
+    there; a skip repeats in every later round, so the real columns always
+    form a prefix and Q[..., :n] is the basis of the n-round run.
+    mi_trajectory holds the joint mutual information in bits after every
+    single selection step (N*L entries; a skipped receiver repeats the
+    previous value). A_final is the inverse (I + rho * sum H' Q Q' H)^{-1}
+    after the last step.
     """
 
     S: list
-    Q: list
+    Q: np.ndarray
     mi_trajectory: np.ndarray
     A_final: np.ndarray
 
@@ -92,8 +96,9 @@ def orthonormalize(F, tol=1e-12):
 def joint_mi(filters, H, rho):
     """Joint mutual information of the filtered signals, in bits.
 
-    filters is one matrix of filter columns per receiver; raw (non-orthonormal)
-    filters are orthonormalized first, which leaves the result unchanged for
+    filters holds one matrix of filter columns per receiver (a list, or a stack
+    when every receiver has the same count); raw (non-orthonormal) filters are
+    orthonormalized first, which leaves the result unchanged for
     linearly independent columns and drops dependent ones.
     Returns log2 det(I_K + rho * sum_l H_l' Q_l Q_l' H_l).
     """
@@ -108,23 +113,25 @@ def joint_mi(filters, H, rho):
     return logdet2_hpd(B)
 
 
+def _gram(T, rho):
+    """I_K + rho * sum_l T_l' T_l for a stack T of shape (L, rows, K)."""
+    T = T.reshape(-1, T.shape[-1])
+    return np.eye(T.shape[1], dtype=complex) + rho * (T.conj().T @ T)
+
+
 def full_joint_mi(H, rho):
-    """Unconstrained joint MI of the full-dimension received signals, bits."""
-    K = H[0].shape[1]
-    B = np.eye(K, dtype=complex)
-    for Hl in H:
-        B += rho * (Hl.conj().T @ Hl)
-    return logdet2_hpd(B)
+    """Unconstrained joint MI of the full-dimension received signals H (L, M, K), bits."""
+    return logdet2_hpd(_gram(np.asarray(H), rho))
 
 
 def signal_space_basis(H):
-    """Orthonormal basis of each receiver's signal subspace (min(M, K) columns).
+    """Orthonormal bases (L, M, min(M, K)) of the receivers' signal subspaces.
 
     This is the identity dimension reduction behind the local-compression
     baseline: it loses no information, and the decorrelated eigenvalues equal
     the nonzero eigenvalues of H_l H_l'.
     """
-    return [np.linalg.qr(Hl)[0] for Hl in H]
+    return np.linalg.qr(H)[0]
 
 
 def selection_metric(A, H, P, h):
@@ -197,17 +204,19 @@ def mfgs_select(H, rho, N):
     inverse A gets a rank-1 update, and the joint MI is recorded. Ties within
     a relative window go to the lowest user index. Candidates whose projection
     is numerically degenerate are excluded; if none remain the receiver is
-    skipped for the round with a logged warning.
+    skipped for the round with a logged warning and a zero column in Q.
+
+    H is the (L, M, K) stack of channel matrices.
     """
-    L = len(H)
-    M, K = H[0].shape
+    H = np.asarray(H)
+    L, M, K = H.shape
     if not 1 <= N <= min(M, K):
         raise ValueError(f"N must satisfy 1 <= N <= min(M, K) = {min(M, K)}")
 
     A = np.eye(K, dtype=complex)
-    P = [np.eye(M, dtype=complex) for _ in range(L)]
+    P = np.tile(np.eye(M, dtype=complex), (L, 1, 1))
     S = [[] for _ in range(L)]
-    Qcols = [[] for _ in range(L)]
+    Q = np.zeros((L, M, N), dtype=complex)
     mi = 0.0
     trajectory = []
 
@@ -239,12 +248,10 @@ def mfgs_select(H, rho, N):
             A = hermitize(rank1_update(A, Hl, q, rho))
             P[l] = P[l] - np.outer(q, q.conj())
             S[l].append(chosen)
-            Qcols[l].append(q)
+            Q[l, :, rnd] = q
             mi += gain
             trajectory.append(mi)
 
-    Q = [np.column_stack(cols) if cols else np.zeros((M, 0), dtype=complex)
-         for cols in Qcols]
     return DimensionReductionResult(S=S, Q=Q, mi_trajectory=np.asarray(trajectory),
                                     A_final=A)
 
@@ -260,13 +267,8 @@ def truncate_selection(result, H, rho, n):
     if not 1 <= n <= full_rounds:
         raise ValueError(f"n must satisfy 1 <= n <= {full_rounds}")
     S = [list(s[:n]) for s in result.S]
-    Q = [Ql[:, :n] for Ql in result.Q]
-    K = H[0].shape[1]
-    B = np.eye(K, dtype=complex)
-    for Ql, Hl in zip(Q, H):
-        T = Ql.conj().T @ Hl
-        B += rho * (T.conj().T @ T)
-    A = np.linalg.inv(hermitize(B))
+    Q = result.Q[..., :n]
+    A = np.linalg.inv(hermitize(_gram(adjoint(Q) @ H, rho)))
     return DimensionReductionResult(S=S, Q=Q,
                                     mi_trajectory=result.mi_trajectory[:n * L].copy(),
                                     A_final=hermitize(A))

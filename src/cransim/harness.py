@@ -19,7 +19,8 @@ from .compression import build_plan
 from .csi import CsiModel, estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
-from .scenario import SystemConfig, generate_realization
+from .linalg import adjoint
+from .scenario import SystemConfig, generate_realization, is_integer
 
 CONFIG_SCHEMA = "cransim-sweep-v1"
 
@@ -74,16 +75,17 @@ class SweepSpec:
             raise ValueError(f"sweep_variable must be one of {SWEEP_VARIABLES}")
         if len(self.values) == 0:
             raise ValueError("values must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not is_integer(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         unknown = set(self.outputs) - set(OUTPUTS)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUTS}")
         if "best_n" in self.outputs and not self.n_candidates:
             raise ValueError("output 'best_n' requires a non-empty n_candidates list")
         maxc = self.base.max_components
-        if any(not 1 <= int(n) <= maxc for n in self.n_candidates):
-            raise ValueError(f"n_candidates must lie in [1, {maxc}]")
+        if any(not is_integer(n) or not 1 <= n <= maxc for n in self.n_candidates):
+            raise ValueError(f"n_candidates must be integers in [1, {maxc}], "
+                             f"got {self.n_candidates!r}")
         for v in self.values:
             # constructing the per-value config runs the full field validation
             replace(self.base, **{self.sweep_variable: v})
@@ -147,34 +149,35 @@ def _check_csi(csi, configs):
 class _Design:
     """Rate-independent state of one (trial, rho, CSI state), shared by every mode, rate and N.
 
-    H holds the design channels: the truth under perfect CSI, the whitened
-    estimates under pilot CSI, where H_true, omega_inv_sqrt and csi_model
-    carry the rest of the CSI state (None under perfect CSI). selection is one
-    greedy run at the largest dimension any caller reads: by the prefix
-    property its first n rounds are the run at n. cutset_mi is the
-    full-dimension MI of the true channels, which the cut-set bound uses.
+    H (L, M, K) holds the design channels: the truth under perfect CSI, the
+    whitened estimates under pilot CSI, where H_true, the equivalent-noise
+    levels omega (L,) and csi_model carry the rest of the CSI state (None
+    under perfect CSI). selection is one greedy run at the largest dimension
+    any caller reads: by the prefix property its first n rounds are the run
+    at n. cutset_mi is the full-dimension MI of the true channels, which the
+    cut-set bound uses.
     """
 
     rho: float
-    H: list
-    H_true: list | None
-    omega_inv_sqrt: list | None
+    H: np.ndarray
+    H_true: np.ndarray | None
+    omega: np.ndarray | None
     csi_model: CsiModel | None
     full_mi: float
     cutset_mi: float
     selection: DimensionReductionResult | None
-    baseline_Q: list | None
+    baseline_Q: np.ndarray | None
 
 
 def _design(channels, config, csi, pilot_rng_factory, nmax, baseline):
     """Build the _Design of one realization; nmax = 0 skips selection."""
-    rho, H, H_true, omega_inv_sqrt, model = config.rho, channels.H, None, None, None
+    rho, H, H_true, omega, model = config.rho, channels.H, None, None, None
     if csi == "pilot":
         model = estimate_channels(channels, config.pilot_snr, pilot_rng_factory())
-        H, omega_inv_sqrt = whiten(model, rho)
+        H, omega = whiten(model, rho)
         H_true = channels.H
     full_mi = full_joint_mi(H, rho)
-    return _Design(rho=rho, H=H, H_true=H_true, omega_inv_sqrt=omega_inv_sqrt,
+    return _Design(rho=rho, H=H, H_true=H_true, omega=omega,
                    csi_model=model, full_mi=full_mi,
                    cutset_mi=full_mi if H_true is None else full_joint_mi(H_true, rho),
                    selection=mfgs_select(H, rho, nmax) if nmax else None,
@@ -208,19 +211,18 @@ def _evaluate(design, mode, n, R, wanted, surcharge):
 
     plan = None
     if wanted & _CAPACITY_METRICS:
-        Q = design.baseline_Q if mode == "local_baseline" else [Ql[:, :n] for Ql in sel.Q]
+        Q = design.baseline_Q if mode == "local_baseline" else sel.Q[..., :n]
         if mode == "unquantized":
-            G = [Ql.conj().T @ Hl for Ql, Hl in zip(Q, H)]
-            phi = [np.zeros(Gl.shape[0]) for Gl in G]
+            G = adjoint(Q) @ H
+            phi = np.zeros(G.shape[:-1])
         else:
-            plan = build_plan(Q, H, R, rho, H_true_list=design.H_true,
-                              omega_inv_sqrt_list=design.omega_inv_sqrt, surcharge=surcharge)
-            G, phi = plan.active_channels()
-        K = H[0].shape[1]
+            plan = build_plan(Q, H, R, rho, H_true=design.H_true, omega=design.omega,
+                              surcharge=surcharge)
+            G, phi = plan.G, plan.Phi
         if "sum_capacity" in wanted:
-            out["sum_capacity"] = cap.sum_capacity(G, phi, rho, K=K)
+            out["sum_capacity"] = cap.sum_capacity(G, phi, rho)
         if wanted & _LMMSE_METRICS:
-            out["sqinr"], out["user_capacity"] = cap.lmmse_sqinr(G, phi, rho, K=K)
+            out["sqinr"], out["user_capacity"] = cap.lmmse_sqinr(G, phi, rho)
             out["lmmse_sum_capacity"] = float(np.sum(out["user_capacity"]))
     return {m: v for m, v in out.items() if m in wanted}, plan
 
@@ -442,7 +444,7 @@ def sweep_spec_from_dict(data):
     return SweepSpec(base=base,
                      sweep_variable=sweep.get("variable", "fronthaul_rate"),
                      values=list(sweep.get("values", [])),
-                     trials=int(sweep.get("trials", 500)),
+                     trials=sweep.get("trials", 500),
                      outputs=tuple(outputs) if outputs is not None else None,
                      n_candidates=tuple(sweep.get("n_candidates", ())))
 

@@ -7,10 +7,15 @@ class NumericalError(ArithmeticError):
     """A matrix that must be Hermitian positive definite turned out not to be."""
 
 
+def adjoint(a):
+    """Conjugate transpose over the last two axes, so it applies to stacks of matrices."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
 def hermitize(a):
-    """Average a nominally Hermitian matrix with its adjoint to kill round-off drift."""
+    """Average nominally Hermitian matrices with their adjoints to kill round-off drift."""
     a = np.asarray(a)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + adjoint(a))
 
 
 def logdet2_hpd(a):

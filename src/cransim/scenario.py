@@ -5,22 +5,21 @@ is reproducible from (config, seed) and trials can run concurrently as long as
 each one owns its own generator stream.
 """
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
 PERFECT_CSI = "perfect"
 
 # log-distance reference; absolute scale is absorbed by power control anyway
 REF_DISTANCE_M = 1.0
 
-# min singular value below this fraction of the max is treated as rank loss
-RANK_TOL = 1e-10
+
+def is_integer(value):
+    """True for Python and numpy integers, False for bool and everything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -58,7 +57,7 @@ class SystemConfig:
     def validate(self):
         for name in ("K", "L", "M", "N", "rng_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("rho", "area_side_m", "user_height_m", "rx_height_m",
                      "pathloss_exponent", "shadow_sigma_db"):
@@ -95,9 +94,9 @@ class Geometry:
 
 @dataclass
 class ChannelRealization:
-    """One channel draw: per-receiver matrices plus the large-scale state behind them."""
+    """One channel draw: stacked per-receiver matrices plus the large-scale state behind them."""
 
-    H: list                     # L complex matrices, each (M, K); column k is user k's channel
+    H: np.ndarray               # (L, M, K) complex; H[l][:, k] is user k's channel at receiver l
     beta: np.ndarray            # (L, K) large-scale gains, linear
     p: np.ndarray               # (K,) power-control coefficients, linear
     positions: Geometry | None = None
@@ -142,21 +141,14 @@ def generate_channels(config, beta, p, rng, positions=None):
     """Draw h_lk ~ CN(0, p_k beta_lk I_M), i.i.d. over antennas and links.
 
     Variance splits equally between real and imaginary parts (circular symmetry).
-    Near-singular draws are logged, not raised: full rank is a probability-1 event.
+    Full rank is a probability-1 event, so it is not checked per draw.
     """
     beta = np.asarray(beta, dtype=float)
     p = np.asarray(p, dtype=float)
     L, K, M = config.L, config.K, config.M
     scale = np.sqrt(p[None, None, :] * beta[:, None, :] / 2.0)  # (L, 1, K) -> broadcast (L, M, K)
     raw = rng.standard_normal((L, M, K)) + 1j * rng.standard_normal((L, M, K))
-    h = raw * scale
-    H = [np.ascontiguousarray(h[l]) for l in range(L)]
-    for l, Hl in enumerate(H):
-        sv = np.linalg.svd(Hl, compute_uv=False)
-        if sv[-1] <= RANK_TOL * sv[0]:
-            log.warning("channel matrix for receiver %d is near rank-deficient "
-                        "(min/max singular value %.3e)", l, sv[-1] / sv[0])
-    return ChannelRealization(H=H, beta=beta, p=p, positions=positions)
+    return ChannelRealization(H=raw * scale, beta=beta, p=p, positions=positions)
 
 
 def generate_realization(config, rng):

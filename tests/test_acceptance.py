@@ -244,10 +244,10 @@ def test_criterion_08_rate_capacity_dominance_and_cutset_proximity():
         for i, R in enumerate(R_values):
             cut[i, t] = min(R * cfg.L, full)
             plan_b = build_plan(Qb, ch.H, R, cfg.rho)
-            base[i, t] = sum_capacity(*plan_b.active_channels(), cfg.rho, K=cfg.K)
+            base[i, t] = sum_capacity(plan_b.G, plan_b.Phi, cfg.rho)
             for j, n in enumerate(cands):
                 plan = build_plan(sels[n].Q, ch.H, R, cfg.rho)
-                cap[i, j, t] = sum_capacity(*plan.active_channels(), cfg.rho, K=cfg.K)
+                cap[i, j, t] = sum_capacity(plan.G, plan.Phi, cfg.rho)
 
     mean_cap = cap.mean(axis=2)
     pvals, ratios = [], []

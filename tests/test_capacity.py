@@ -13,8 +13,7 @@ def _pipeline(cfg, seed, R=None):
     ch = generate_realization(cfg, np.random.default_rng(seed))
     sel = mfgs_select(ch.H, cfg.rho, cfg.N)
     plan = build_plan(sel.Q, ch.H, cfg.fronthaul_rate if R is None else R, cfg.rho)
-    G, phi = plan.active_channels()
-    return ch, sel, G, phi
+    return ch, sel, plan.G, plan.Phi
 
 
 class TestSumCapacity:
@@ -23,21 +22,50 @@ class TestSumCapacity:
         phi = np.array([2.0])
         rho = 5.0
         expected = np.log2(1 + rho * abs(g[0, 0]) ** 2 / (phi[0] + 1))
-        assert sum_capacity([g], [phi], rho) == pytest.approx(expected, rel=1e-12)
+        assert sum_capacity(g[None], phi[None], rho) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_noise_limit_equals_reduced_mi(self, rng):
         H = random_channels(5, 2, 4, rng)
         sel = mfgs_select(H, 9.0, 2)
-        G = [Ql.conj().T @ Hl for Ql, Hl in zip(sel.Q, H)]
-        phi = [np.zeros(2) for _ in range(2)]
+        G = sel.Q.conj().swapaxes(-1, -2) @ H
+        phi = np.zeros((2, 2))
         assert sum_capacity(G, phi, 9.0) == pytest.approx(joint_mi(sel.Q, H, 9.0), abs=1e-8)
 
     def test_everything_dropped_gives_zero(self):
-        assert sum_capacity([], [], 10.0, K=4) == 0.0
-        sq, uc = lmmse_sqinr([], [], 10.0, K=4)
-        assert np.all(sq == 0) and np.all(uc == 0)
-        with pytest.raises(ValueError):
-            sum_capacity([], [], 10.0)
+        G = np.ones((2, 3, 4), dtype=complex)
+        phi = np.full((2, 3), np.inf)
+        assert sum_capacity(G, phi, 10.0) == 0.0
+        sq, uc = lmmse_sqinr(G, phi, 10.0)
+        assert sq.shape == (4,) and np.all(sq == 0) and np.all(uc == 0)
+
+
+    def test_skipped_rounds_and_dropped_components_contribute_nothing(self, rng):
+        # receiver 0 has a rank-1 channel, so its second greedy round is skipped
+        # and its Q keeps a zero column
+        H = random_channels(4, 2, 3, rng)
+        H[0] = H[0][:, :1] @ (rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4)))
+        rho, R = 6.0, 5.0
+        sel = mfgs_select(H, rho, 2)
+        assert len(sel.S[0]) == 1 and np.all(sel.Q[0][:, 1] == 0)
+        plan = build_plan(sel.Q, H, R, rho)
+        assert np.isinf(plan.Phi[0, 1])
+        # the same receivers planned on their real columns alone
+        real = [build_plan(sel.Q[l:l + 1, :, :len(s)], H[l:l + 1], R, rho)
+                for l, s in enumerate(sel.S)]
+        G = np.concatenate([p.G[0] for p in real])
+        phi = np.concatenate([p.Phi[0] for p in real])
+        assert sum_capacity(plan.G, plan.Phi, rho) == pytest.approx(
+            sum_capacity(G, phi, rho), rel=1e-12)
+        assert sum_capacity(sel.Q.conj().swapaxes(-1, -2) @ H, np.zeros((2, 2)), rho) == (
+            pytest.approx(sel.mi, rel=1e-12))
+        # rows with Phi = inf add nothing, whatever their channel
+        junk = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        padded = sum_capacity(np.concatenate([G, junk]),
+                              np.concatenate([phi, np.full(3, np.inf)]), rho)
+        assert padded == pytest.approx(sum_capacity(G, phi, rho), rel=1e-12)
+        sq, _ = lmmse_sqinr(np.concatenate([G, junk]),
+                            np.concatenate([phi, np.full(3, np.inf)]), rho)
+        assert np.allclose(sq, lmmse_sqinr(G, phi, rho)[0], rtol=1e-12)
 
 
 class TestLmmse:
@@ -45,8 +73,8 @@ class TestLmmse:
         # one user, one receiver, no quantisation noise: SQINR = rho ||h||^2
         h = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
         q = h / np.linalg.norm(h)
-        G = [q.conj().T @ h]                # 1 x 1
-        phi = [np.zeros(1)]
+        G = (q.conj().T @ h)[None]          # one receiver, 1 x 1
+        phi = np.zeros((1, 1))
         rho = 3.0
         sqinr, cap = lmmse_sqinr(G, phi, rho)
         assert sqinr[0] == pytest.approx(rho * np.linalg.norm(h) ** 2, rel=1e-10)
@@ -54,8 +82,8 @@ class TestLmmse:
 
     def test_orthogonal_users_lmmse_is_optimal(self):
         # orthogonal equivalent channel columns: detection decouples per user
-        G = [np.diag([2.0, 1.5, 0.7, 0.3]).astype(complex)]
-        phi = [np.array([0.5, 0.1, 2.0, 0.0])]
+        G = np.diag([2.0, 1.5, 0.7, 0.3]).astype(complex)[None]
+        phi = np.array([[0.5, 0.1, 2.0, 0.0]])
         rho = 8.0
         _, cap = lmmse_sqinr(G, phi, rho)
         assert cap.sum() == pytest.approx(sum_capacity(G, phi, rho), abs=1e-8)
@@ -64,18 +92,19 @@ class TestLmmse:
         for seed in range(10):
             cfg = SystemConfig(K=6, L=3, M=4, N=2, fronthaul_rate=7.0, rng_seed=seed)
             _, _, G, phi = _pipeline(cfg, seed)
-            _, cap = lmmse_sqinr(G, phi, cfg.rho, K=cfg.K)
-            assert cap.sum() <= sum_capacity(G, phi, cfg.rho, K=cfg.K) + 1e-9
+            _, cap = lmmse_sqinr(G, phi, cfg.rho)
+            assert cap.sum() <= sum_capacity(G, phi, cfg.rho) + 1e-9
 
     def test_explicit_weights_attain_the_sqinr(self, rng):
         cfg = SystemConfig(K=5, L=2, M=4, N=2, fronthaul_rate=6.0, rng_seed=11)
         _, _, G, phi = _pipeline(cfg, 11)
         rho = cfg.rho
-        sqinr, _ = lmmse_sqinr(G, phi, rho, K=cfg.K)
+        sqinr, _ = lmmse_sqinr(G, phi, rho)
         W = lmmse_weights(G, phi, rho)
         T = sum(Wl @ Gl for Wl, Gl in zip(W, G))
-        noise = sum(Wl @ np.diag(np.asarray(pl) + 1.0) @ Wl.conj().T
-                    for Wl, pl in zip(W, phi))
+        act = np.isfinite(phi)              # dropped components carry zero weight
+        noise = sum(Wl[:, a] @ np.diag(pl[a] + 1.0) @ Wl[:, a].conj().T
+                    for Wl, pl, a in zip(W, phi, act))
         for k in range(cfg.K):
             signal = rho * abs(T[k, k]) ** 2
             interference = rho * (np.sum(np.abs(T[k, :]) ** 2) - abs(T[k, k]) ** 2)
@@ -107,8 +136,8 @@ class TestOrderingChain:
         for seed in range(5):
             cfg = SystemConfig(K=K, L=L, M=M, N=N, fronthaul_rate=5.0, rng_seed=seed)
             ch, sel, G, phi = _pipeline(cfg, seed)
-            c_sum = sum_capacity(G, phi, cfg.rho, K=K)
-            _, cap = lmmse_sqinr(G, phi, cfg.rho, K=K)
+            c_sum = sum_capacity(G, phi, cfg.rho)
+            _, cap = lmmse_sqinr(G, phi, cfg.rho)
             reduced = sel.mi
             full = full_joint_mi(ch.H, cfg.rho)
             cut = cutset_bound(ch.H, cfg.rho, cfg.fronthaul_rate)
@@ -124,8 +153,7 @@ class TestOrderingChain:
         prev = -1.0
         for R in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]:
             plan = build_plan(sel.Q, ch.H, R, cfg.rho)
-            G, phi = plan.active_channels()
-            c = sum_capacity(G, phi, cfg.rho, K=cfg.K)
+            c = sum_capacity(plan.G, plan.Phi, cfg.rho)
             assert c >= prev - 1e-9
             prev = c
 
@@ -136,7 +164,7 @@ class TestReport:
         ch, sel, G, phi = _pipeline(cfg, 4)
         rep = capacity_report(G, phi, ch.H, ch.H, cfg.rho, cfg.fronthaul_rate, sel.mi)
         assert rep.csi_mode == "perfect"
-        assert rep.sum_capacity == pytest.approx(sum_capacity(G, phi, cfg.rho, K=cfg.K))
+        assert rep.sum_capacity == pytest.approx(sum_capacity(G, phi, cfg.rho))
         assert rep.user_capacity.shape == (cfg.K,)
         assert rep.cutset == pytest.approx(cutset_bound(ch.H, cfg.rho, cfg.fronthaul_rate))
         assert rep.reduced_mi == pytest.approx(sel.mi)

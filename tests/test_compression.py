@@ -18,6 +18,21 @@ def _lam_lists(draw_sorted=True):
         lambda xs: np.sort(np.asarray(xs))[::-1])
 
 
+def _waterfill_loop(lam, R, surcharge):
+    """Reference drop-and-repeat waterfill of one row, on its compacted active set."""
+    rates = np.zeros(lam.size)
+    active = np.nonzero(lam > 0)[0]
+    while active.size > 0:
+        n = active.size
+        log_lam = np.log2(lam[active])
+        r = (R - surcharge * n) / n + log_lam - np.mean(log_lam)
+        if np.all(r > 0):
+            rates[active] = r
+            return rates, n
+        active = active[r > 0]
+    return rates, 0
+
+
 class TestDecorrelate:
     def test_already_diagonal_input(self):
         # Q = I and orthogonal channel rows: the covariance is diagonal already
@@ -110,6 +125,34 @@ class TestWaterfill:
         rates, n = waterfill(np.array([2.0, 1.9]), 1.0, surcharge=1.4)
         assert n <= 1   # 2 * 1.4 > 1, so at most one scalar is affordable
 
+    @pytest.mark.parametrize("surcharge", [0.0, LLOYD_MAX_RATE_PENALTY])
+    def test_stack_equals_rowwise(self, surcharge):
+        # rows settle on different active counts, some after several drops
+        lam = np.array([[9.0, 4.0, 2.0, 1.0],
+                        [50.0, 1.0, 1e-3, 1e-6],
+                        [3.0, 3.0, 3.0, 0.0],
+                        [1.0, 0.5, 0.25, 0.125],
+                        [0.0, 0.0, 0.0, 0.0]])
+        distinct = 0
+        for R in (0.0, 0.7, 2.5, 6.0, 9.0, 20.0):
+            rates, n = waterfill(lam, R, surcharge=surcharge)
+            assert rates.shape == lam.shape and n.shape == (5,)
+            rows = [waterfill(row, R, surcharge=surcharge) for row in lam]
+            assert np.array_equal(rates, np.array([r for r, _ in rows]))
+            assert n.tolist() == [int(k) for _, k in rows]
+            for row, r, k in zip(lam, rates, n):
+                want, k_want = _waterfill_loop(row, R, surcharge)
+                assert k == k_want
+                assert np.allclose(r, want, rtol=1e-12, atol=1e-12)
+            distinct = max(distinct, len(set(n.tolist())))
+        assert distinct >= 3
+
+    def test_stack_checks_each_row_on_its_own_scale(self):
+        # row 1 is out of order by 1e-6: tiny next to row 0's top eigenvalue, but
+        # far beyond its own tolerance
+        with pytest.raises(ValueError, match="sorted"):
+            waterfill(np.array([[1e9, 1.0], [0.5, 0.500001]]), 4.0)
+
 
 class TestQuantNoise:
     def test_hand_case(self):
@@ -150,11 +193,10 @@ class TestQuantNoise:
         cfg = SystemConfig(K=5, L=2, M=4, N=2, rng_seed=3)
         ch = generate_realization(cfg, np.random.default_rng(3))
         csi = estimate_channels(ch, PERFECT_CSI, np.random.default_rng(0))
-        H_check, winv = whiten(csi, cfg.rho)
+        H_check, omega = whiten(csi, cfg.rho)
         sel = mfgs_select(ch.H, cfg.rho, cfg.N)
         plan_perf = build_plan(sel.Q, ch.H, 8.0, cfg.rho)
-        plan_csi = build_plan(sel.Q, H_check, 8.0, cfg.rho,
-                              H_true_list=ch.H, omega_inv_sqrt_list=winv)
+        plan_csi = build_plan(sel.Q, H_check, 8.0, cfg.rho, H_true=ch.H, omega=omega)
         for a, b in zip(plan_perf.Phi, plan_csi.Phi):
             finite = np.isfinite(a)
             assert np.array_equal(finite, np.isfinite(b))
@@ -164,7 +206,7 @@ class TestQuantNoise:
         H = random_channels(4, 1, 3, rng)[0]
         Q = signal_space_basis([H])[0]
         V, lam = decorrelate(Q, H)
-        var = true_component_variances(V, Q, np.eye(3), H, rho=7.0)
+        var = true_component_variances(V, Q, 1.0, H, rho=7.0)
         assert np.allclose(var, 7.0 * lam + 1.0, atol=1e-10)
 
 
@@ -209,15 +251,27 @@ class TestBuildPlan:
         ch = generate_realization(cfg, np.random.default_rng(2))
         sel = mfgs_select(ch.H, cfg.rho, cfg.N)
         plan = build_plan(sel.Q, ch.H, 400.0, cfg.rho)
-        G, phi = plan.active_channels()
-        cap = sum_capacity(G, phi, cfg.rho, K=cfg.K)
+        cap = sum_capacity(plan.G, plan.Phi, cfg.rho)
         assert abs(cap - sel.mi) < 1e-6
 
-    def test_active_channels_drop_zero_rate_rows(self, rng):
-        lam_like = random_channels(4, 2, 3, rng)
-        Q = signal_space_basis(lam_like)
-        plan = build_plan(Q, lam_like, 1.0, rho=5.0)
-        G, phi = plan.active_channels()
-        for Gl, pl in zip(G, phi):
-            assert Gl.shape[0] == pl.size
-            assert np.all(np.isfinite(pl)) and np.all(pl > 0)
+    @pytest.mark.parametrize("csi", ["perfect", "pilot"])
+    def test_stack_equals_one_receiver_plans(self, csi):
+        cfg = SystemConfig(K=6, L=3, M=4, N=3, pilot_snr=5.0, rng_seed=4)
+        ch = generate_realization(cfg, np.random.default_rng(4))
+        H, kw = ch.H, {}
+        if csi == "pilot":
+            H, omega = whiten(estimate_channels(ch, cfg.pilot_snr, np.random.default_rng(5)),
+                              cfg.rho)
+            kw = dict(H_true=ch.H, omega=omega)
+        sel = mfgs_select(H, cfg.rho, cfg.N)
+        for R in (1.0, 3.0, 9.0):
+            plan = build_plan(sel.Q, H, R, cfg.rho, surcharge=0.4, **kw)
+            assert plan.G.shape == (3, 3, 6) and plan.Phi.shape == (3, 3)
+            for l in range(3):
+                one = build_plan(sel.Q[l:l + 1], H[l:l + 1], R, cfg.rho, surcharge=0.4,
+                                 **{k: v[l:l + 1] for k, v in kw.items()})
+                assert np.array_equal(one.rates[0], plan.rates[l])
+                assert np.array_equal(one.Phi[0], plan.Phi[l])
+                assert np.array_equal(one.lam[0], plan.lam[l])
+                assert np.allclose(one.G[0], plan.G[l], rtol=0, atol=1e-12)
+                assert one.active[0] == plan.active[l]

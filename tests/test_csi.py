@@ -16,15 +16,15 @@ class TestEstimation:
     def test_perfect_sentinel_degenerates(self):
         ch = _channels()
         csi = estimate_channels(ch, PERFECT_CSI, np.random.default_rng(1))
-        assert all(np.array_equal(a, b) for a, b in zip(csi.H_hat, ch.H))
+        assert np.array_equal(csi.H_hat, ch.H)
         assert np.all(csi.err_var == 0)
-        H_check, winv = whiten(csi, rho=10.0)
-        assert all(np.array_equal(a, b) for a, b in zip(H_check, ch.H))
-        assert all(np.allclose(om, np.eye(om.shape[0])) for om in csi.Omega)
+        H_check, omega = whiten(csi, rho=10.0)
+        assert np.array_equal(H_check, ch.H)
+        assert np.all(omega == 1.0)
 
     def test_hand_case_unit_prior_unit_pilot(self):
         # s2 = 1, pilot SNR 1 -> error variance 1/2
-        ch = ChannelRealization(H=[np.ones((1, 1), dtype=complex)],
+        ch = ChannelRealization(H=np.ones((1, 1, 1), dtype=complex),
                                 beta=np.array([[1.0]]), p=np.array([1.0]))
         csi = estimate_channels(ch, 1.0, np.random.default_rng(0))
         assert csi.err_var[0, 0] == pytest.approx(0.5, rel=1e-15)
@@ -85,28 +85,31 @@ class TestWhitening:
     def test_zero_error_is_identity_whitening(self):
         ch = _channels(seed=2)
         csi = estimate_channels(ch, PERFECT_CSI, np.random.default_rng(0))
-        H_check, winv = whiten(csi, rho=25.0)
-        assert all(np.array_equal(a, b) for a, b in zip(H_check, csi.H_hat))
-        assert all(np.allclose(w, np.eye(w.shape[0])) for w in winv)
+        H_check, omega = whiten(csi, rho=25.0)
+        assert np.array_equal(H_check, csi.H_hat)
+        assert np.all(omega == 1.0)
 
     def test_scalar_case(self):
         # M = K = 1: Omega = 1 + rho*err_var and h_check = h_hat / sqrt(Omega)
-        ch = ChannelRealization(H=[np.array([[2.0 + 1.0j]])],
+        ch = ChannelRealization(H=np.array([[[2.0 + 1.0j]]]),
                                 beta=np.array([[1.0]]), p=np.array([1.0]))
         csi = estimate_channels(ch, 4.0, np.random.default_rng(0))
         rho = 3.0
-        H_check, winv = whiten(csi, rho)
+        H_check, omega = whiten(csi, rho)
         ev = csi.err_var[0, 0]
-        assert csi.Omega[0][0, 0] == pytest.approx(1.0 + rho * ev, rel=1e-15)
-        expected = csi.H_hat[0][0, 0] / np.sqrt(1.0 + rho * ev)
-        assert H_check[0][0, 0] == pytest.approx(expected, rel=1e-15)
+        assert omega[0] == pytest.approx(1.0 + rho * ev, rel=1e-15)
+        expected = csi.H_hat[0, 0, 0] / np.sqrt(1.0 + rho * ev)
+        assert H_check[0, 0, 0] == pytest.approx(expected, rel=1e-15)
 
     def test_whitening_is_inverse_square_root(self):
         ch = _channels(seed=9)
         csi = estimate_channels(ch, 2.5, np.random.default_rng(1))
-        whiten(csi, rho=12.0)
-        for om, w in zip(csi.Omega, csi.omega_inv_sqrt):
-            assert np.max(np.abs(w @ om @ w - np.eye(om.shape[0]))) < 1e-12
+        H_check, omega = whiten(csi, rho=12.0)
+        assert omega.shape == (2,)
+        assert np.allclose(omega, 1.0 + 12.0 * csi.err_var.sum(axis=1), rtol=1e-15)
+        # each receiver's estimate is scaled by omega_l^(-1/2)
+        assert np.max(np.abs(H_check * np.sqrt(omega)[:, None, None] - csi.H_hat)) < (
+            1e-12 * np.max(np.abs(csi.H_hat)))
 
     def test_non_positive_definite_raises(self):
         ch = _channels(seed=4)

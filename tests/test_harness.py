@@ -159,6 +159,13 @@ class TestSweepSpec:
             _spec(outputs=("best_n",), n_candidates=(0, 2))
         with pytest.raises(ValueError):
             _spec(values=[2.0, -3.0])           # per-value config validation
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="trials"):
+                _spec(trials=bad)
+        for bad in ((2.7, 1), (True, 2), (2.0,)):
+            with pytest.raises(ValueError, match="n_candidates"):
+                _spec(outputs=("best_n",), n_candidates=bad)
+        assert _spec(trials=np.int64(3), n_candidates=(np.int64(2),)).trials == 3
 
     def test_from_dict_roundtrip(self):
         data = {
@@ -185,6 +192,11 @@ class TestSweepSpec:
             sweep_spec_from_dict({**good, "system": {"rho": 1.0, "rho_db": 0.0}})
         with pytest.raises(ValueError, match="sweep keys"):
             sweep_spec_from_dict({**good, "sweep": {"values": [1.0], "step": 2}})
+        with pytest.raises(ValueError, match="trials"):
+            sweep_spec_from_dict({**good, "sweep": {"values": [1.0], "trials": 2.5}})
+        with pytest.raises(ValueError, match="n_candidates"):
+            sweep_spec_from_dict({**good, "sweep": {"values": [1.0], "outputs": ["best_n"],
+                                                    "n_candidates": [2.7, True]}})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
