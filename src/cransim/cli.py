@@ -60,19 +60,14 @@ def _resolved(spec, args):
     return spec, csi, surcharge
 
 
-def _cmd_sweep(args):
-    spec = load_sweep_spec(args.config)
-    spec, csi, surcharge = _resolved(spec, args)
+def _cmd_sweep(args, spec, csi, surcharge):
     rows = run_sweep(spec, csi=csi, surcharge=surcharge)
     emit_csv(rows, args.output)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
 
-def _cmd_trial(args):
-    spec = load_sweep_spec(args.config)
-    args.trials = None
-    spec, csi, surcharge = _resolved(spec, args)
+def _cmd_trial(args, spec, csi, surcharge):
     cfg = spec.base
     record = run_trial(cfg, mode=args.mode, csi=csi, trial=args.trial,
                        surcharge=surcharge, details=True)
@@ -119,12 +114,16 @@ def _cmd_validate(args):
 
 def main(argv=None):
     logging.basicConfig(level=logging.WARNING)
-    args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "trial":
-        return _cmd_trial(args)
-    return _cmd_validate(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "validate":
+        return _cmd_validate(args)
+    try:
+        spec, csi, surcharge = _resolved(load_sweep_spec(args.config), args)
+    except (OSError, ValueError) as exc:    # json.JSONDecodeError is a ValueError
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    command = _cmd_sweep if args.command == "sweep" else _cmd_trial
+    return command(args, spec, csi, surcharge)
 
 
 if __name__ == "__main__":

@@ -34,21 +34,25 @@ def estimate_channels(channels, pilot_snr, rng):
     With prior per-antenna variance s2 = p_k beta_lk and pilot observation
     y = sqrt(pilot_snr) h + n (unit-variance noise), the estimate is
     h_hat = sqrt(pilot_snr) s2 / (1 + pilot_snr s2) * y with error variance
-    s2 / (1 + pilot_snr s2) per antenna. pilot_snr may be "perfect".
+    s2 / (1 + pilot_snr s2) per antenna. pilot_snr may be "perfect", or an
+    array of SNRs: the pilot noise is drawn once and every SNR scales the
+    same draw, so H_hat gets shape pilot_snr.shape + (L, M, K) and err_var
+    pilot_snr.shape + (L, K).
     """
     L, M, K = channels.H.shape
     if isinstance(pilot_snr, str):
         if pilot_snr != PERFECT_CSI:
             raise ValueError(f"pilot_snr must be a positive number or '{PERFECT_CSI}'")
         return CsiModel(H_hat=channels.H.copy(), err_var=np.zeros((L, K)), H_true=channels.H)
-    if pilot_snr <= 0:
+    snr = np.asarray(pilot_snr, dtype=float)[..., None, None]
+    if np.any(snr <= 0):
         raise ValueError("pilot_snr must be > 0")
 
     sigma2 = channels.p[None, :] * channels.beta          # (L, K) prior variance
     noise = (rng.standard_normal((L, M, K)) + 1j * rng.standard_normal((L, M, K))) / np.sqrt(2.0)
-    coeff = np.sqrt(pilot_snr) * sigma2 / (1.0 + pilot_snr * sigma2)   # (L, K)
-    H_hat = coeff[:, None, :] * (np.sqrt(pilot_snr) * channels.H + noise)
-    err_var = sigma2 / (1.0 + pilot_snr * sigma2)
+    coeff = np.sqrt(snr) * sigma2 / (1.0 + snr * sigma2)   # (..., L, K)
+    H_hat = coeff[..., None, :] * (np.sqrt(snr)[..., None] * channels.H + noise)
+    err_var = sigma2 / (1.0 + snr * sigma2)
     return CsiModel(H_hat=H_hat, err_var=err_var, H_true=channels.H)
 
 
@@ -57,12 +61,13 @@ def whiten(csi, rho):
 
     The error covariances are isotropic, so Omega_l = omega_l I and whitening
     scales each receiver's estimate by omega_l^{-1/2}. Returns (H_check, omega)
-    with H_check of shape (L, M, K) and omega of shape (L,).
+    with H_check of shape (..., L, M, K) and omega of shape (..., L), where the
+    leading axes of a batched estimate and of an array rho broadcast.
     """
-    omega = 1.0 + rho * np.sum(csi.err_var, axis=1)
-    bad = np.nonzero(omega <= 0)[0]
+    omega = 1.0 + np.asarray(rho)[..., None] * np.sum(csi.err_var, axis=-1)
+    bad = np.argwhere(omega <= 0)
     if bad.size:
         raise NumericalError(
-            f"equivalent-noise covariance for receiver {bad[0]} is not positive definite")
+            f"equivalent-noise covariance for receiver {bad[0][-1]} is not positive definite")
     w = 1.0 / np.sqrt(omega)
-    return w[:, None, None] * csi.H_hat, omega
+    return w[..., None, None] * csi.H_hat, omega

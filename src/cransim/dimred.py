@@ -37,7 +37,8 @@ class DimensionReductionResult:
     mi_trajectory holds the joint mutual information in bits after every
     single selection step (N*L entries; a skipped receiver repeats the
     previous value). A_final is the inverse (I + rho * sum H' Q Q' H)^{-1}
-    after the last step.
+    after the last step. A batched run puts its batch axes in front of Q,
+    mi_trajectory and A_final, and S holds one such list per element.
     """
 
     S: list
@@ -46,9 +47,9 @@ class DimensionReductionResult:
     A_final: np.ndarray
 
     @property
-    def mi(self) -> float:
-        """Joint mutual information of the reduced-dimension signals, bits."""
-        return float(self.mi_trajectory[-1])
+    def mi(self):
+        """Joint mutual information of the reduced-dimension signals, bits (per element)."""
+        return self.mi_trajectory[..., -1]
 
 
 @dataclass
@@ -114,13 +115,21 @@ def joint_mi(filters, H, rho):
 
 
 def _gram(T, rho):
-    """I_K + rho * sum_l T_l' T_l for a stack T of shape (L, rows, K)."""
-    T = T.reshape(-1, T.shape[-1])
-    return np.eye(T.shape[1], dtype=complex) + rho * (T.conj().T @ T)
+    """I_K + rho * sum_l T_l' T_l for T of shape (..., L, rows, K).
+
+    rho is a scalar or an array that broadcasts against T's leading axes.
+    """
+    T = T.reshape(T.shape[:-3] + (-1, T.shape[-1]))
+    rho = np.asarray(rho)[..., None, None]
+    return np.eye(T.shape[-1], dtype=complex) + rho * (adjoint(T) @ T)
 
 
 def full_joint_mi(H, rho):
-    """Unconstrained joint MI of the full-dimension received signals H (L, M, K), bits."""
+    """Unconstrained joint MI of the full-dimension received signals H (..., L, M, K), bits.
+
+    Leading axes of H and the shape of rho broadcast to a batch, which gives
+    an array of MIs; an unbatched call gives a scalar.
+    """
     return logdet2_hpd(_gram(np.asarray(H), rho))
 
 
@@ -153,11 +162,14 @@ def rank1_update(A, H, q, rho):
 
     Sherman-Morrison on the added term rho * H'q q'H:
     A' = A - (A H'q)(A H'q)' / (1/rho + q'H A H'q).
+    Works on stacks: A (..., K, K), H (..., M, K), q (..., M), and rho a
+    scalar or an array over the batch shape.
     """
-    u = H.conj().T @ np.asarray(q, dtype=complex)
+    u = adjoint(H) @ np.asarray(q, dtype=complex)[..., None]
     Au = A @ u
-    denom = 1.0 / rho + float(np.real(u.conj() @ Au))
-    return A - np.outer(Au, Au.conj()) / denom
+    uA = adjoint(Au)                      # = u'A, as A is Hermitian
+    denom = 1.0 / np.asarray(rho) + (uA @ u).real[..., 0, 0]
+    return A - (Au @ uA) / denom[..., None, None]
 
 
 def stage_gain_diagnostics(A, H, q, rho):
@@ -206,58 +218,89 @@ def mfgs_select(H, rho, N):
     is numerically degenerate are excluded; if none remain the receiver is
     skipped for the round with a logged warning and a zero column in Q.
 
-    H is the (L, M, K) stack of channel matrices.
+    H is the (..., L, M, K) stack of channel matrices and rho a scalar or an
+    array; any leading axes of H and the shape of rho broadcast to a batch of
+    independent problems run in lockstep, each with its own running inverse,
+    candidates, skips and ties. The fields of the result then carry the batch
+    axes in front, and S is a nested list with one per-receiver list per
+    element. An unbatched call is the batch of one.
     """
     H = np.asarray(H)
-    L, M, K = H.shape
+    L, M, K = H.shape[-3:]
     if not 1 <= N <= min(M, K):
         raise ValueError(f"N must satisfy 1 <= N <= min(M, K) = {min(M, K)}")
+    rho = np.asarray(rho, dtype=float)
+    batch = np.broadcast(H[..., 0, 0, 0], rho).shape
+    if H.shape[:-3] != batch:
+        H = np.broadcast_to(H, batch + (L, M, K))
+    H = np.ascontiguousarray(H.reshape(-1, L, M, K))   # one layout, so one rounding, per batch
+    rho = np.full(batch, rho).reshape(-1)
+    B = len(rho)
 
-    A = np.eye(K, dtype=complex)
-    P = np.tile(np.eye(M, dtype=complex), (L, 1, 1))
-    S = [[] for _ in range(L)]
-    Q = np.zeros((L, M, N), dtype=complex)
-    mi = 0.0
-    trajectory = []
+    Hh = adjoint(H)
+    W = H.astype(complex)                    # candidates projected off the chosen directions
+    A = np.eye(K, dtype=complex)[None].repeat(B, axis=0)
+    avail = np.ones((B, L, K), dtype=bool)
+    picks = np.empty((B, L, N), dtype=int)
+    Q = np.zeros((B, L, M, N), dtype=complex)
+    gains = np.empty((B, N * L))
+    metric = np.empty((B, K))
+    at = np.arange(B)
 
     for rnd in range(N):
         for l in range(L):
-            Hl = H[l]
-            W = P[l] @ Hl                                   # projected candidate vectors
-            pnorm2 = np.real(np.einsum("ik,ik->k", W.conj(), W))
-            B = Hl @ A @ Hl.conj().T
-            num = np.real(np.einsum("ik,ik->k", W.conj(), B @ W))
+            Wl = W[:, l]
+            Wc = Wl.conj()
+            pnorm2 = (Wc * Wl).real.sum(axis=-2)
+            num = (Wc * (H[:, l] @ A @ Hh[:, l] @ Wl)).real.sum(axis=-2)
+            eligible = pnorm2 > DEGENERATE_PROJECTION_TOL
+            eligible &= avail[:, l]
+            metric.fill(-np.inf)
+            np.divide(num, pnorm2, out=metric, where=eligible)
 
-            eligible = np.ones(K, dtype=bool)
-            eligible[S[l]] = False
-            eligible &= pnorm2 > DEGENERATE_PROJECTION_TOL
-            if not np.any(eligible):
-                log.warning("receiver %d has no independent candidates in round %d; skipped",
-                            l, rnd)
-                trajectory.append(mi)
-                continue
+            best = metric.max(axis=-1)
+            window = ARGMAX_TIE_REL_TOL * np.maximum(1.0, np.abs(best))
+            chosen = (metric >= (best - window)[:, None]).argmax(axis=-1)
+            gain = metric[at, chosen]
+            norm = np.sqrt(pnorm2[at, chosen])
+            skip = best == -np.inf
+            if skip.any():
+                for b in np.flatnonzero(skip):
+                    element = tuple(map(int, np.unravel_index(b, batch)))
+                    log.warning("receiver %d has no independent candidates in round %d%s; "
+                                "skipped", l, rnd,
+                                f" of batch element {element}" if batch else "")
+                # q = 0 and a zero gain leave A, W and the MI as they are; the
+                # receiver's state never changes again, so every later round
+                # skips it too and marking user K-1 as taken is harmless
+                gain[skip] = 0.0
+                norm[skip] = np.inf
+                chosen[skip] = -1
+            q = Wl.swapaxes(1, 2)[at, chosen] / norm[:, None]      # C-ordered (B, M)
 
-            metric = np.where(eligible, num / np.where(pnorm2 > 0, pnorm2, 1.0), -np.inf)
-            best = float(np.max(metric))
-            window = ARGMAX_TIE_REL_TOL * max(1.0, abs(best))
-            chosen = int(np.nonzero(metric >= best - window)[0][0])
+            gains[:, rnd * L + l] = np.log2(1.0 + rho * gain)
+            A = hermitize(rank1_update(A, H[:, l], q, rho))
+            Wl -= q[:, :, None] * (q.conj()[:, None, :] @ Wl)
+            avail[at, l, chosen] = False
+            picks[at, l, rnd] = chosen
+            Q[:, l, :, rnd] = q
 
-            w = W[:, chosen]
-            q = w / np.linalg.norm(w)
-            gain = float(np.log2(1.0 + rho * metric[chosen]))
-            A = hermitize(rank1_update(A, Hl, q, rho))
-            P[l] = P[l] - np.outer(q, q.conj())
-            S[l].append(chosen)
-            Q[l, :, rnd] = q
-            mi += gain
-            trajectory.append(mi)
+    return DimensionReductionResult(
+        S=_user_lists(picks.reshape(batch + (L, N)).tolist(), len(batch)),
+        Q=Q.reshape(batch + Q.shape[1:]),
+        mi_trajectory=np.cumsum(gains, axis=-1).reshape(batch + gains.shape[1:]),
+        A_final=A.reshape(batch + A.shape[1:]))
 
-    return DimensionReductionResult(S=S, Q=Q, mi_trajectory=np.asarray(trajectory),
-                                    A_final=A)
+
+def _user_lists(picks, depth):
+    """Ragged per-receiver user lists from nested (..., L, N) picks, -1 marking skips."""
+    if depth:
+        return [_user_lists(p, depth - 1) for p in picks]
+    return [[k for k in row if k >= 0] for row in picks]
 
 
 def truncate_selection(result, H, rho, n):
-    """First-n-rounds view of a selection run (valid by the prefix property).
+    """First-n-rounds view of an unbatched selection run (valid by the prefix property).
 
     Slices S, Q and the MI trajectory to n rounds and recomputes the final
     inverse directly for the truncated basis.

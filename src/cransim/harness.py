@@ -20,7 +20,7 @@ from .csi import CsiModel, estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
 from .linalg import adjoint
-from .scenario import SystemConfig, generate_realization, is_integer
+from .scenario import PERFECT_CSI, SystemConfig, generate_realization, is_integer
 
 CONFIG_SCHEMA = "cransim-sweep-v1"
 
@@ -160,28 +160,57 @@ class _Design:
 
     rho: float
     H: np.ndarray
-    H_true: np.ndarray | None
-    omega: np.ndarray | None
-    csi_model: CsiModel | None
     full_mi: float
     cutset_mi: float
-    selection: DimensionReductionResult | None
-    baseline_Q: np.ndarray | None
+    H_true: np.ndarray | None = None
+    omega: np.ndarray | None = None
+    csi_model: CsiModel | None = None
+    selection: DimensionReductionResult | None = None
+    baseline_Q: np.ndarray | None = None
 
 
-def _design(channels, config, csi, pilot_rng_factory, nmax, baseline):
-    """Build the _Design of one realization; nmax = 0 skips selection."""
-    rho, H, H_true, omega, model = config.rho, channels.H, None, None, None
+def _csi_key(config, csi):
+    """The (pilot_snr, rho) CSI state a config's design depends on."""
+    return (config.pilot_snr if csi == "pilot" else PERFECT_CSI, config.rho)
+
+
+def _designs(channels, keys, csi, seed, trial, nmax, baseline):
+    """The _Design of each _csi_key of realization `trial`, built in one batched pass.
+
+    Estimation (from the trial's lane-1 pilot noise), whitening, selection
+    and the full MI each run once over the stack of keys, and the cut-set MI
+    of the true channels once per distinct rho. nmax = 0 skips selection.
+    """
+    rho = np.array([r for _, r in keys], dtype=float)
     if csi == "pilot":
-        model = estimate_channels(channels, config.pilot_snr, pilot_rng_factory())
+        model = estimate_channels(channels, np.array([p for p, _ in keys]),
+                                  trial_stream(seed, trial, 1))
         H, omega = whiten(model, rho)
-        H_true = channels.H
-    full_mi = full_joint_mi(H, rho)
-    return _Design(rho=rho, H=H, H_true=H_true, omega=omega,
-                   csi_model=model, full_mi=full_mi,
-                   cutset_mi=full_mi if H_true is None else full_joint_mi(H_true, rho),
-                   selection=mfgs_select(H, rho, nmax) if nmax else None,
-                   baseline_Q=signal_space_basis(H) if baseline else None)
+        full_mi = full_joint_mi(H, rho)
+        rhos, which = np.unique(rho, return_inverse=True)
+        cutset_mi = full_joint_mi(channels.H, rhos)[which]
+    else:
+        H = np.broadcast_to(channels.H, rho.shape + channels.H.shape)
+        full_mi = cutset_mi = full_joint_mi(channels.H, rho)
+    sel = mfgs_select(H, rho, nmax) if nmax else None
+    basis = signal_space_basis(H) if baseline else None
+
+    designs = []
+    for i in range(len(keys)):
+        d = _Design(rho=float(rho[i]), H=H[i], full_mi=float(full_mi[i]),
+                    cutset_mi=float(cutset_mi[i]))
+        if csi == "pilot":
+            d.H_true, d.omega = channels.H, omega[i]
+            d.csi_model = CsiModel(H_hat=model.H_hat[i], err_var=model.err_var[i],
+                                   H_true=channels.H)
+        if sel is not None:
+            d.selection = DimensionReductionResult(
+                S=sel.S[i], Q=sel.Q[i], mi_trajectory=sel.mi_trajectory[i],
+                A_final=sel.A_final[i])
+        if basis is not None:
+            d.baseline_Q = basis[i]
+        designs.append(d)
+    return designs
 
 
 _CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}
@@ -244,8 +273,8 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
     n = _n_column(mode, config)
     wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS
     try:
-        design = _design(channels, config, csi, lambda: trial_stream(config.rng_seed, trial, 1),
-                         n if selects else 0, mode == "local_baseline")
+        (design,) = _designs(channels, [_csi_key(config, csi)], csi, config.rng_seed, trial,
+                             n if selects else 0, mode == "local_baseline")
         metrics, plan = _evaluate(design, mode, n, config.fronthaul_rate, wanted, surcharge)
     except Exception as exc:
         raise RuntimeError(f"trial {trial} failed in mode '{mode}' (csi={csi})") from exc
@@ -292,10 +321,13 @@ def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
 
     read maps each mode to the metrics its rows read; each best-N candidate
     in cands adds a proposed sum capacity. Returns lists keyed by (config
-    index, mode, n, metric). Per trial, one design serves every config with
-    the same SNR and CSI state, so results do not depend on which configs
-    share a batch. A failure is re-raised as a RuntimeError naming the trial,
-    the config's label, the mode and the CSI mode.
+    index, mode, n, metric). Per trial, one batched design step builds a
+    design for each distinct SNR and CSI state, and that design serves every
+    config with the state; each element of the batch is computed on its own,
+    so results do not depend on which configs share a batch. A failure is
+    re-raised as a RuntimeError naming the trial, the labels of the configs
+    in the failing step (all of them for the design step), the mode and the
+    CSI mode.
     """
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
     nmax = max(dims + cands, default=0)
@@ -308,27 +340,28 @@ def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
             ev.setdefault(("proposed", n), set()).add("sum_capacity")
         evaluations.append(ev)
 
+    keys = list(dict.fromkeys(_csi_key(cfg, csi) for cfg in configs))
+    design_of = [keys.index(_csi_key(cfg, csi)) for cfg in configs]
+
     samples = {}
     for trial in range(trials):
         channels = generate_realization(base, trial_stream(base.rng_seed, trial, 0))
-        designs = {}
+        try:
+            designs = _designs(channels, keys, csi, base.rng_seed, trial, nmax,
+                               "local_baseline" in read)
+        except Exception as exc:
+            raise RuntimeError(f"trial {trial} failed at {', '.join(labels)} in the design "
+                               f"step (csi={csi})") from exc
         for ci, cfg in enumerate(configs):
-            mode = n = None
-            try:
-                key = (cfg.pilot_snr if csi == "pilot" else "perfect", cfg.rho)
-                if key not in designs:
-                    designs[key] = _design(channels, cfg, csi,
-                                           lambda: trial_stream(base.rng_seed, trial, 1),
-                                           nmax, "local_baseline" in read)
-                for (mode, n), wanted in evaluations[ci].items():
-                    metrics, _ = _evaluate(designs[key], mode, n, cfg.fronthaul_rate,
-                                           wanted, surcharge)
-                    for metric, value in metrics.items():
-                        samples.setdefault((ci, mode, n, metric), []).append(value)
-            except Exception as exc:
-                step = "the design step" if mode is None else f"mode '{mode}' at N={n}"
-                raise RuntimeError(f"trial {trial} failed at {labels[ci]} in {step} "
-                                   f"(csi={csi})") from exc
+            for (mode, n), wanted in evaluations[ci].items():
+                try:
+                    metrics, _ = _evaluate(designs[design_of[ci]], mode, n,
+                                           cfg.fronthaul_rate, wanted, surcharge)
+                except Exception as exc:
+                    raise RuntimeError(f"trial {trial} failed at {labels[ci]} in mode "
+                                       f"'{mode}' at N={n} (csi={csi})") from exc
+                for metric, value in metrics.items():
+                    samples.setdefault((ci, mode, n, metric), []).append(value)
     return samples
 
 

@@ -80,3 +80,35 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "checks passed" in out
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("extra, message", [
+        (["--trials", "0"], "trials must be an integer >= 1"),
+        (["--seed", "-1"], "rng_seed must be a non-negative integer"),
+    ])
+    def test_bad_override_exits_2_without_traceback(self, config_path, tmp_path, capsys,
+                                                    extra, message):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", config_path, "--output", str(tmp_path / "o.csv")]
+                 + extra)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cransim: error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--output", "o.csv"], ["trial"]])
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        ('{"schema": ', "Expecting value"),
+    ])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as info:
+            main([command[0], "--config", str(path)] + command[1:])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cransim: error: ") and message in err

@@ -187,6 +187,51 @@ class TestGreedySelection:
         assert sel.mi_trajectory[0] == pytest.approx(sel.mi_trajectory[1])
         assert any("no independent candidates" in r.message for r in caplog.records)
 
+    def test_batch_elements_equal_their_own_runs(self, rng, caplog):
+        # a batch of 4 at different SNRs; receiver 1 of element 2 has a rank-1
+        # channel (skipped in rounds 1 and 2) and receiver 0 of element 1 a
+        # rank-2 channel (skipped in round 2)
+        K, L, M, N = 5, 3, 4, 3
+        H = np.stack([random_channels(K, L, M, rng) for _ in range(4)])
+        H[2, 1] = np.outer(H[2, 1, :, 0], rng.standard_normal(K))
+        H[1, 0] = H[1, 0, :, :2] @ rng.standard_normal((2, K))
+        rho = np.array([2.0, 15.0, 60.0, 300.0])
+        with caplog.at_level(logging.WARNING, logger="cransim.dimred"):
+            batched = mfgs_select(H, rho, N)
+        skips = [r.getMessage() for r in caplog.records if "no independent" in r.message]
+        assert sorted(skips) == sorted([
+            "receiver 0 has no independent candidates in round 2 of batch element (1,); "
+            "skipped",
+            "receiver 1 has no independent candidates in round 1 of batch element (2,); "
+            "skipped",
+            "receiver 1 has no independent candidates in round 2 of batch element (2,); "
+            "skipped"])
+
+        assert batched.Q.shape == (4, L, M, N) and batched.mi_trajectory.shape == (4, N * L)
+        for b in range(4):
+            single = mfgs_select(H[b], rho[b], N)
+            assert batched.S[b] == single.S == greedy_reference(H[b], rho[b], N)
+            assert np.allclose(batched.Q[b], single.Q, rtol=0, atol=1e-12)
+            assert np.allclose(batched.mi_trajectory[b], single.mi_trajectory,
+                               rtol=1e-12, atol=0)
+            assert np.allclose(batched.A_final[b], single.A_final, rtol=0, atol=1e-12)
+        assert [len(s) for s in batched.S[2]] == [N, 1, N]
+        assert [len(s) for s in batched.S[1]] == [2, N, N]
+        zero = np.zeros((4, L, N), dtype=bool)      # the skipped (element, receiver, round)s
+        zero[1, 0, 2] = zero[2, 1, 1:] = True
+        assert np.array_equal(np.linalg.norm(batched.Q, axis=-2) == 0, zero)
+
+    def test_scalar_channels_broadcast_against_an_snr_array(self, rng):
+        H = random_channels(6, 2, 4, rng)
+        rho = np.array([[1.0, 10.0], [100.0, 1000.0]])
+        batched = mfgs_select(H, rho, 2)
+        assert batched.mi_trajectory.shape == (2, 2, 4)
+        for idx in np.ndindex(rho.shape):
+            single = mfgs_select(H, rho[idx], 2)
+            assert batched.S[idx[0]][idx[1]] == single.S
+            assert np.allclose(batched.mi_trajectory[idx], single.mi_trajectory,
+                               rtol=1e-12, atol=0)
+
     def test_invalid_n_raises(self, rng):
         H = random_channels(3, 1, 2, rng)
         with pytest.raises(ValueError):

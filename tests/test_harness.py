@@ -272,6 +272,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("variable, values, csi", [
         ("N", [1, 2, 4], "perfect"),               # one selection at max N serves all
         ("rho", [1.0, 10.0, 100.0], "pilot"),      # one design per (rho, pilot state)
+        ("pilot_snr", [1.0, 10.0, 1000.0], "pilot"),
+        ("rho", [1.0, 10.0, 100.0], "perfect"),
     ])
     def test_rows_do_not_depend_on_which_values_share_a_sweep(self, variable, values, csi):
         cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=10.0)
@@ -292,6 +294,18 @@ class TestRunSweep:
                                                r"in mode 'proposed' at N=2 \(csi=perfect\)"
                            ) as info:
             run_sweep(_spec())
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+    def test_design_failure_names_trial_batched_values_and_csi(self, monkeypatch):
+        def boom(*a, **k):
+            raise ArithmeticError("synthetic failure")
+        monkeypatch.setattr(harness, "mfgs_select", boom)
+        spec = _spec(_cfg(pilot_snr=10.0), sweep_variable="pilot_snr", values=[1.0, 100.0])
+        with pytest.raises(RuntimeError, match=r"trial 0 failed at pilot_snr=1.0, "
+                                               r"pilot_snr=100.0 in the design step "
+                                               r"\(csi=pilot\)") as info:
+            run_sweep(spec, csi="pilot")
         assert isinstance(info.value.__cause__, ArithmeticError)
 
 
