@@ -4,6 +4,8 @@ Equivalent channels G (L, n, K) and quantisation-noise diagonals Phi (L, n)
 come stacked over receivers, as in CompressionPlan; a single receiver's
 (n, K) and (n,) work too. Phi = inf marks a dropped component, whose
 detection weight 1 / (Phi + 1) is exactly 0, so no row filtering is needed.
+Stacks of detection problems put their axes in front, G (..., L, n, K) and
+Phi (..., L, n), which broadcast against each other and against rho.
 """
 
 from dataclasses import dataclass
@@ -32,22 +34,22 @@ class CapacityReport:
     csi_mode: str = "perfect"
 
 
-def _weighted(G, phi):
-    """G_l scaled row-wise by the detection weights 1 / (Phi_l + 1)."""
-    return G / (np.asarray(phi, dtype=float) + 1.0)[..., None]
-
-
 def _detection_matrix(G, phi, rho):
-    """I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l as one (L*n, K) product."""
-    K = G.shape[-1]
-    W = _weighted(G, phi).reshape(-1, K)
-    return np.eye(K, dtype=complex) + rho * (G.reshape(-1, K).conj().T @ W)
+    """I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l, one (L*n, K) product per stack element."""
+    G = np.asarray(G)
+    if G.ndim == 2:     # a single receiver
+        G, phi = G[None], np.asarray(phi)[None]
+    W = G / (np.asarray(phi, dtype=float) + 1.0)[..., None]    # rows times detection weights
+    W, G = (a.reshape(a.shape[:-3] + (-1, a.shape[-1])) for a in (W, G))
+    rho = np.asarray(rho, dtype=float)[..., None, None]
+    return np.eye(G.shape[-1], dtype=complex) + rho * (adjoint(G) @ W)
 
 
 def sum_capacity(G, phi, rho):
     """Sum capacity log2 det(I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l), bits/use.
 
-    Everything dropped (all Phi infinite) gives exactly 0.
+    Everything dropped (all Phi infinite) gives exactly 0. A stack gives an
+    array over its leading axes.
     """
     return logdet2_hpd(_detection_matrix(G, phi, rho))
 
@@ -56,23 +58,13 @@ def lmmse_sqinr(G, phi, rho):
     """Per-user SQINR and capacity under LMMSE symbol detection.
 
     SQINR_k = 1 / [(I_K + rho sum G'(Phi+I)^{-1}G)^{-1}]_kk - 1 and
-    C_k = log2(1 + SQINR_k). Returns (sqinr, user_capacity), both length K.
+    C_k = log2(1 + SQINR_k). Returns (sqinr, user_capacity), both of shape
+    (..., K) over the stack's leading axes.
     """
     Binv = np.linalg.inv(hermitize(_detection_matrix(G, phi, rho)))
-    d = np.real(np.diag(Binv))
+    d = np.real(np.diagonal(Binv, axis1=-2, axis2=-1))
     sqinr = np.maximum(1.0 / d - 1.0, 0.0)
     return sqinr, np.log2(1.0 + sqinr)
-
-
-def lmmse_weights(G, phi, rho):
-    """Explicit LMMSE combining weights, stacked (L, K, n) like G.
-
-    W_l = rho * (I + rho sum G'(Phi+I)^{-1}G)^{-1} G_l' (Phi_l + I)^{-1};
-    a dropped component gets a zero column. Diagnostic companion to
-    lmmse_sqinr; applying these weights attains the same per-user SQINR.
-    """
-    Binv = np.linalg.inv(hermitize(_detection_matrix(G, phi, rho)))
-    return rho * (Binv @ adjoint(_weighted(G, phi)))
 
 
 def cutset_bound(H, rho, R):

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from .compression import LLOYD_MAX_RATE_PENALTY
-from .harness import CSI_MODES, MODES, emit_csv, load_sweep_spec, run_sweep, run_trial
+from .harness import (CSI_MODES, MODES, check_csi, emit_csv, load_sweep_spec, run_sweep,
+                      run_trial)
 from .validation import run_validation
 
 
@@ -56,6 +57,7 @@ def _resolved(spec, args):
     csi = args.csi
     if csi is None:
         csi = "perfect" if isinstance(base.pilot_snr, str) else "pilot"
+    check_csi(csi, spec.configs() if args.command == "sweep" else [base])
     surcharge = LLOYD_MAX_RATE_PENALTY if args.lloyd_max else 0.0
     return spec, csi, surcharge
 

@@ -32,7 +32,9 @@ class CompressionPlan:
     equivalent channels G = V' Q' H (L, n, K), and active component counts
     (L,). Phi = np.inf marks a dropped zero-rate component: its detection
     weight 1 / (Phi + 1) is exactly 0, which is information-equivalent to
-    not forwarding it.
+    not forwarding it. A stacked plan puts its design axes in front of all
+    of these, and the axes of an array of rates in front of rates, Phi and
+    active as well.
     """
 
     V: np.ndarray
@@ -71,21 +73,22 @@ def waterfill(lam, R, surcharge=0.0):
     active count this settles on is a heuristic, not the capacity-optimal
     count: another count can give more capacity.
 
-    lam may be a stack (..., n) of descending rows, each allocated its own
-    budget R; rows repeat the drop step independently until none changes.
-    Returns (rates, n_active) with zeros for inactive components and
-    n_active of shape lam.shape[:-1].
+    lam may be a stack (..., n) of descending rows and R an array that
+    broadcasts against lam.shape[:-1]: each row gets its own budget and
+    repeats the drop step independently until none changes. Returns (rates,
+    n_active) over the broadcast leading axes, zeros for inactive components.
     """
     lam = np.asarray(lam, dtype=float)
-    if R < 0:
+    R = np.asarray(R, dtype=float)[..., None]
+    if np.any(R < 0):
         raise ValueError("rate budget must be >= 0")
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be non-negative")
     if np.any(np.diff(lam, axis=-1) > 1e-12 * np.maximum(1.0, lam[..., :1])):
         raise ValueError("eigenvalues must be sorted descending")
 
-    active = lam > 0
-    log_lam = np.log2(np.where(active, lam, 1.0))
+    active = np.broadcast_to(lam > 0, np.broadcast_shapes(R.shape, lam.shape))
+    log_lam = np.log2(np.where(lam > 0, lam, 1.0))
     while True:
         n = np.maximum(np.count_nonzero(active, axis=-1), 1)[..., None]
         mean = np.sum(np.where(active, log_lam, 0.0), axis=-1, keepdims=True) / n
@@ -96,25 +99,22 @@ def waterfill(lam, R, surcharge=0.0):
         active = keep
 
 
-def quant_noise(lam, rates, rho):
-    """Quantisation-noise diagonal for decorrelated components with variances rho*lam + 1.
+def quant_noise(lam, rates, rho, variances=None):
+    """Quantisation-noise diagonal Phi_i = var_i / (2^r_i - 1), np.inf for dropped components.
 
-    Phi_i = (rho lam_i + 1) / (2^r_i - 1) for active components, np.inf for
-    dropped ones. Negative rates violate the waterfilling contract.
+    The quantiser-input variances var default to rho lam_i + 1, the
+    decorrelated components' own; under imperfect CSI pass the true ones.
+    rates may carry leading axes in front of the variances' (one allocation
+    per fronthaul rate). Negative rates violate the waterfilling contract.
     """
-    variances = rho * np.asarray(lam, dtype=float) + 1.0
-    return quant_noise_from_variances(variances, rates)
-
-
-def quant_noise_from_variances(variances, rates):
-    """Quantisation-noise diagonal from explicit per-component input variances."""
-    variances = np.asarray(variances, dtype=float)
+    if variances is None:
+        variances = rho * np.asarray(lam, dtype=float) + 1.0
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
     phi = np.full(rates.shape, np.inf)
     act = rates > 0
-    phi[act] = variances[act] / (2.0 ** rates[act] - 1.0)
+    phi[act] = np.broadcast_to(variances, rates.shape)[act] / (2.0 ** rates[act] - 1.0)
     return phi
 
 
@@ -125,7 +125,8 @@ def true_component_variances(V, Q, omega, H_true, rho):
     channels, but the signal passing through it came over the true channel,
     so the component variances are
     diag(V'Q' (rho H H' + I) Q V) / omega. omega holds the equivalent-noise
-    level of each receiver, shape (L,) for stacked inputs.
+    level of each receiver, shape (..., L) for stacked inputs, and rho
+    broadcasts against the (..., L, n) result.
     """
     w = 1.0 / np.sqrt(np.asarray(omega, dtype=float))
     T = w[..., None, None] * (Q @ V)      # (..., M, n)
@@ -148,19 +149,21 @@ def approx_quant_noise(lam, R, N, rho):
 def build_plan(Q, H, R, rho, H_true=None, omega=None, surcharge=0.0):
     """Assemble the compression plan of every receiver in one stacked pass.
 
-    Q (L, M, n) holds the reduced bases and H (L, M, K) the channels the
-    transforms and rate allocation are designed from (true channels, or
-    whitened estimates under imperfect CSI). When H_true and the
-    equivalent-noise levels omega (L,) are given, the quantisation-noise
-    levels are evaluated against the true channels instead of the design
-    eigenvalues.
+    Q (..., L, M, n) holds the reduced bases and H (..., L, M, K) the
+    channels the transforms and rate allocation are designed from (true
+    channels, or whitened estimates under imperfect CSI); rho is a scalar or
+    an array over their leading axes. When H_true and the equivalent-noise
+    levels omega (..., L) are given, the quantisation-noise levels are
+    evaluated against the true channels instead of the design eigenvalues.
+    The transforms and G depend on the design alone, so one decorrelation
+    serves every fronthaul rate: R may be an array, whose axes then lead
+    rates and Phi (shape R.shape + lam.shape).
     """
+    rho = np.asarray(rho, dtype=float)[..., None, None]
     V, lam = decorrelate(Q, H)
+    R = np.reshape(R, np.shape(R) + (1,) * (lam.ndim - 1))
     rates, active = waterfill(lam, R, surcharge=surcharge)
-    if H_true is None:
-        phi = quant_noise(lam, rates, rho)
-    else:
-        var = true_component_variances(V, Q, omega, H_true, rho)
-        phi = quant_noise_from_variances(var, rates)
+    var = None if H_true is None else true_component_variances(V, Q, omega, H_true, rho)
+    phi = quant_noise(lam, rates, rho, variances=var)
     G = adjoint(V) @ (adjoint(Q) @ H)
     return CompressionPlan(V=V, lam=lam, rates=rates, Phi=phi, G=G, active=active)

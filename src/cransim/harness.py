@@ -86,9 +86,11 @@ class SweepSpec:
         if any(not is_integer(n) or not 1 <= n <= maxc for n in self.n_candidates):
             raise ValueError(f"n_candidates must be integers in [1, {maxc}], "
                              f"got {self.n_candidates!r}")
-        for v in self.values:
-            # constructing the per-value config runs the full field validation
-            replace(self.base, **{self.sweep_variable: v})
+        self.configs()      # constructing the per-value configs validates their fields
+
+    def configs(self):
+        """The SystemConfig of every sweep value, in order."""
+        return [replace(self.base, **{self.sweep_variable: v}) for v in self.values]
 
 
 @dataclass
@@ -137,7 +139,7 @@ def _check_dimension_advice(config):
             stacklevel=3)
 
 
-def _check_csi(csi, configs):
+def check_csi(csi, configs):
     """CSI configuration errors, raised as ValueError before any trial runs."""
     if csi not in CSI_MODES:
         raise ValueError(f"csi must be one of {CSI_MODES}")
@@ -147,21 +149,21 @@ def _check_csi(csi, configs):
 
 @dataclass
 class _Design:
-    """Rate-independent state of one (trial, rho, CSI state), shared by every mode, rate and N.
+    """Rate-independent state of a trial's (rho, CSI) keys, shared by every mode, rate and N.
 
+    Built for a list of keys, every array but H_true has a leading key axis.
     H (L, M, K) holds the design channels: the truth under perfect CSI, the
     whitened estimates under pilot CSI, where H_true, the equivalent-noise
     levels omega (L,) and csi_model carry the rest of the CSI state (None
     under perfect CSI). selection is one greedy run at the largest dimension
     any caller reads: by the prefix property its first n rounds are the run
-    at n. cutset_mi is the full-dimension MI of the true channels, which the
-    cut-set bound uses.
+    at n. cutset_mi is the full-dimension MI of the true channels.
     """
 
-    rho: float
+    rho: np.ndarray
     H: np.ndarray
-    full_mi: float
-    cutset_mi: float
+    full_mi: np.ndarray
+    cutset_mi: np.ndarray
     H_true: np.ndarray | None = None
     omega: np.ndarray | None = None
     csi_model: CsiModel | None = None
@@ -175,42 +177,27 @@ def _csi_key(config, csi):
 
 
 def _designs(channels, keys, csi, seed, trial, nmax, baseline):
-    """The _Design of each _csi_key of realization `trial`, built in one batched pass.
+    """The _Design of the _csi_key(s) `keys` of realization `trial`, built in one batched pass.
 
     Estimation (from the trial's lane-1 pilot noise), whitening, selection
     and the full MI each run once over the stack of keys, and the cut-set MI
     of the true channels once per distinct rho. nmax = 0 skips selection.
     """
-    rho = np.array([r for _, r in keys], dtype=float)
+    pilot, rho = map(np.array, zip(*keys) if isinstance(keys, list) else keys)
+    rho, extra = rho.astype(float), {}
     if csi == "pilot":
-        model = estimate_channels(channels, np.array([p for p, _ in keys]),
-                                  trial_stream(seed, trial, 1))
+        model = estimate_channels(channels, pilot, trial_stream(seed, trial, 1))
         H, omega = whiten(model, rho)
         full_mi = full_joint_mi(H, rho)
         rhos, which = np.unique(rho, return_inverse=True)
         cutset_mi = full_joint_mi(channels.H, rhos)[which]
+        extra = {"H_true": channels.H, "omega": omega, "csi_model": model}
     else:
         H = np.broadcast_to(channels.H, rho.shape + channels.H.shape)
         full_mi = cutset_mi = full_joint_mi(channels.H, rho)
-    sel = mfgs_select(H, rho, nmax) if nmax else None
-    basis = signal_space_basis(H) if baseline else None
-
-    designs = []
-    for i in range(len(keys)):
-        d = _Design(rho=float(rho[i]), H=H[i], full_mi=float(full_mi[i]),
-                    cutset_mi=float(cutset_mi[i]))
-        if csi == "pilot":
-            d.H_true, d.omega = channels.H, omega[i]
-            d.csi_model = CsiModel(H_hat=model.H_hat[i], err_var=model.err_var[i],
-                                   H_true=channels.H)
-        if sel is not None:
-            d.selection = DimensionReductionResult(
-                S=sel.S[i], Q=sel.Q[i], mi_trajectory=sel.mi_trajectory[i],
-                A_final=sel.A_final[i])
-        if basis is not None:
-            d.baseline_Q = basis[i]
-        designs.append(d)
-    return designs
+    return _Design(rho=rho, H=H, full_mi=full_mi, cutset_mi=cutset_mi,
+                   selection=mfgs_select(H, rho, nmax) if nmax else None,
+                   baseline_Q=signal_space_basis(H) if baseline else None, **extra)
 
 
 _CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}
@@ -224,36 +211,42 @@ def _n_column(mode, config):
             "local_baseline": config.max_components, "cutset": 0}[mode]
 
 
-def _evaluate(design, mode, n, R, wanted, surcharge):
-    """The metrics in `wanted` for one (mode, n, R) on a design. Returns (metrics, plan).
+def _evaluate(design, keys, mode, n, R, wanted, surcharge):
+    """The metrics in `wanted` for one (mode, n) on some keys of a design, at every rate R.
 
-    The only place the harness builds a compression plan and computes
-    capacities; both happen only when a capacity metric is wanted.
+    keys is a list of key indices (or ... for a one-key design) and R a
+    scalar or a 1-D array of rates; each metric gets R's axes, then the key
+    axis, in front of its own. Returns (metrics, plan). The harness's only
+    plan and capacity calls, one for all rates and keys, made only when a
+    capacity metric is wanted.
     """
-    rho, H, sel = design.rho, design.H, design.selection
-    out = {"full_mi": design.full_mi, "cutset": min(R * len(H), design.cutset_mi)}
+    rho, H, full, sel = design.rho[keys], design.H[keys], design.full_mi[keys], design.selection
+    L, R = H.shape[-3], np.asarray(R, dtype=float)
+    out = {"full_mi": full, "cutset": np.minimum.outer(R * L, design.cutset_mi[keys])}
     if mode != "cutset":
-        out["reduced_mi"] = (design.full_mi if mode == "local_baseline"   # lossless basis
-                             else float(sel.mi_trajectory[n * len(H) - 1]))
-        out["mi_proportion"] = (out["reduced_mi"] / design.full_mi
-                                if design.full_mi > 0 else 0.0)
-
+        out["reduced_mi"] = (full if mode == "local_baseline"   # lossless basis
+                             else sel.mi_trajectory[keys][..., n * L - 1])
+        out["mi_proportion"] = np.divide(out["reduced_mi"], full, out=np.zeros(rho.shape),
+                                         where=full > 0)
     plan = None
     if wanted & _CAPACITY_METRICS:
-        Q = design.baseline_Q if mode == "local_baseline" else sel.Q[..., :n]
+        Q = design.baseline_Q[keys] if mode == "local_baseline" else sel.Q[keys][..., :n]
         if mode == "unquantized":
             G = adjoint(Q) @ H
-            phi = np.zeros(G.shape[:-1])
+            phi = np.zeros(R.shape + G.shape[:-1])
         else:
-            plan = build_plan(Q, H, R, rho, H_true=design.H_true, omega=design.omega,
+            omega = None if design.omega is None else design.omega[keys]
+            plan = build_plan(Q, H, R, rho, H_true=design.H_true, omega=omega,
                               surcharge=surcharge)
             G, phi = plan.G, plan.Phi
         if "sum_capacity" in wanted:
             out["sum_capacity"] = cap.sum_capacity(G, phi, rho)
         if wanted & _LMMSE_METRICS:
             out["sqinr"], out["user_capacity"] = cap.lmmse_sqinr(G, phi, rho)
-            out["lmmse_sum_capacity"] = float(np.sum(out["user_capacity"]))
-    return {m: v for m, v in out.items() if m in wanted}, plan
+            out["lmmse_sum_capacity"] = np.sum(out["user_capacity"], axis=-1)
+    shape = R.shape + rho.shape
+    return {m: np.broadcast_to(v, shape + np.shape(v)[len(shape):])
+            for m, v in out.items() if m in wanted}, plan
 
 
 def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
@@ -262,10 +255,12 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
 
     The realization is reproduced from (config.rng_seed, trial), so calling
     with different modes but the same trial index evaluates the same channels.
+    It is the sweep kernel's batch of one: a single key and a scalar rate,
+    so the plan in details has the unstacked shapes of CompressionPlan.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    _check_csi(csi, [config])
+    check_csi(csi, [config])
     selects = mode in ("proposed", "unquantized")
     if selects:
         _check_dimension_advice(config)
@@ -273,9 +268,10 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
     n = _n_column(mode, config)
     wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS
     try:
-        (design,) = _designs(channels, [_csi_key(config, csi)], csi, config.rng_seed, trial,
-                             n if selects else 0, mode == "local_baseline")
-        metrics, plan = _evaluate(design, mode, n, config.fronthaul_rate, wanted, surcharge)
+        design = _designs(channels, _csi_key(config, csi), csi, config.rng_seed, trial,
+                          n if selects else 0, mode == "local_baseline")
+        metrics, plan = _evaluate(design, ..., mode, n, config.fronthaul_rate, wanted,
+                                  surcharge)
     except Exception as exc:
         raise RuntimeError(f"trial {trial} failed in mode '{mode}' (csi={csi})") from exc
     det = None
@@ -283,7 +279,8 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
         det = {"selection": design.selection, "plan": plan, "channels": channels,
                "csi": design.csi_model}
     return TrialRecord(trial=trial, seed=config.rng_seed, config=config, mode=mode,
-                       csi_mode=_CSI_LABELS[csi], metrics=metrics, details=det)
+                       csi_mode=_CSI_LABELS[csi], metrics={m: v[()] for m, v in metrics.items()},
+                       details=det)
 
 
 def best_dimension(config, R, n_candidates, trials, csi="perfect", surcharge=0.0):
@@ -322,46 +319,64 @@ def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
     read maps each mode to the metrics its rows read; each best-N candidate
     in cands adds a proposed sum capacity. Returns lists keyed by (config
     index, mode, n, metric). Per trial, one batched design step builds a
-    design for each distinct SNR and CSI state, and that design serves every
-    config with the state; each element of the batch is computed on its own,
-    so results do not depend on which configs share a batch. A failure is
-    re-raised as a RuntimeError naming the trial, the labels of the configs
-    in the failing step (all of them for the design step), the mode and the
-    CSI mode.
+    design for each distinct SNR and CSI state, and the evaluations are
+    grouped by (mode, n) across all configs: each group runs one stacked
+    _evaluate over its keys and fronthaul rates. Each element of a batch is
+    computed on its own, so results do not depend on which configs share a
+    batch. A failure is re-raised as a RuntimeError naming the trial, the
+    labels of the configs in the failing step (all of them for the design
+    step; in a failing group, the member that fails alone), the mode and
+    the CSI mode.
     """
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
     nmax = max(dims + cands, default=0)
-
-    # per config: (mode, n) -> metrics; proposed at cfg.N doubles as best-N candidate cfg.N
-    evaluations = []
-    for cfg in configs:
-        ev = {(mode, _n_column(mode, cfg)): set(metrics) for mode, metrics in read.items()}
-        for n in cands:
-            ev.setdefault(("proposed", n), set()).add("sum_capacity")
-        evaluations.append(ev)
-
     keys = list(dict.fromkeys(_csi_key(cfg, csi) for cfg in configs))
-    design_of = [keys.index(_csi_key(cfg, csi)) for cfg in configs]
+    key_of = [keys.index(_csi_key(cfg, csi)) for cfg in configs]
+    rate_of = [cfg.fronthaul_rate for cfg in configs]
+
+    # (mode, n) -> {config index: metrics}; proposed at cfg.N doubles as best-N candidate cfg.N
+    groups = {}
+    for ci, cfg in enumerate(configs):
+        for mode, metrics in read.items():
+            groups.setdefault((mode, _n_column(mode, cfg)), {})[ci] = set(metrics)
+        for n in cands:
+            groups.setdefault(("proposed", n), {}).setdefault(ci, set()).add("sum_capacity")
+    # per group: its keys and rates, and each member's metrics and (rate, key) position
+    stacks = []
+    for (mode, n), members in groups.items():
+        ks = list(dict.fromkeys(key_of[ci] for ci in members))
+        rs = list(dict.fromkeys(rate_of[ci] for ci in members))
+        stacks.append((mode, n, ks, rs, set().union(*members.values()),
+                       [(ci, m, (rs.index(rate_of[ci]), ks.index(key_of[ci])))
+                        for ci, m in members.items()]))
 
     samples = {}
     for trial in range(trials):
         channels = generate_realization(base, trial_stream(base.rng_seed, trial, 0))
         try:
-            designs = _designs(channels, keys, csi, base.rng_seed, trial, nmax,
-                               "local_baseline" in read)
+            design = _designs(channels, keys, csi, base.rng_seed, trial, nmax,
+                              "local_baseline" in read)
         except Exception as exc:
             raise RuntimeError(f"trial {trial} failed at {', '.join(labels)} in the design "
                                f"step (csi={csi})") from exc
-        for ci, cfg in enumerate(configs):
-            for (mode, n), wanted in evaluations[ci].items():
-                try:
-                    metrics, _ = _evaluate(designs[design_of[ci]], mode, n,
-                                           cfg.fronthaul_rate, wanted, surcharge)
-                except Exception as exc:
-                    raise RuntimeError(f"trial {trial} failed at {labels[ci]} in mode "
-                                       f"'{mode}' at N={n} (csi={csi})") from exc
-                for metric, value in metrics.items():
-                    samples.setdefault((ci, mode, n, metric), []).append(value)
+        for mode, n, ks, rs, wanted, members in stacks:
+            try:
+                metrics, _ = _evaluate(design, ks, mode, n, rs, wanted, surcharge)
+            except Exception as exc:
+                failed = [ci for ci, _, _ in members]
+                for ci in failed:   # rare path: re-run each member alone to name the culprit
+                    try:
+                        _evaluate(design, [key_of[ci]], mode, n, [rate_of[ci]], wanted,
+                                  surcharge)
+                    except Exception as single:
+                        exc, failed = single, [ci]
+                        break
+                raise RuntimeError(f"trial {trial} failed at "
+                                   f"{', '.join(labels[ci] for ci in failed)} in mode "
+                                   f"'{mode}' at N={n} (csi={csi})") from exc
+            for ci, wanted_ci, at in members:
+                for metric in wanted_ci:
+                    samples.setdefault((ci, mode, n, metric), []).append(metrics[metric][at])
     return samples
 
 
@@ -376,8 +391,8 @@ def run_sweep(spec, csi="perfect", surcharge=0.0):
     RuntimeError naming the trial, sweep value, mode and CSI mode.
     """
     base = spec.base
-    configs = [replace(base, **{spec.sweep_variable: v}) for v in spec.values]
-    _check_csi(csi, configs)
+    configs = spec.configs()
+    check_csi(csi, configs)
     rows_wanted = [row for output in spec.outputs for row in _OUTPUT_ROWS[output]]
     cands = sorted({int(n) for n in spec.n_candidates}) if "best_n" in spec.outputs else []
     read = {}   # mode -> metrics its rows read
@@ -451,11 +466,17 @@ def sweep_spec_from_dict(data):
     may replace their linear counterparts. The "sweep" section mirrors
     SweepSpec. Unknown keys are rejected.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     if data.get("schema") != CONFIG_SCHEMA:
         raise ValueError(f"config schema must be '{CONFIG_SCHEMA}', got {data.get('schema')!r}")
     unknown = set(data) - {"schema", "system", "sweep"}
     if unknown:
         raise ValueError(f"unknown top-level keys {sorted(unknown)}")
+    for name in ("system", "sweep"):
+        if not isinstance(data.get(name, {}), dict):
+            raise ValueError(f"{name} section must be a JSON object, "
+                             f"got {type(data[name]).__name__}")
 
     system = dict(data.get("system", {}))
     for db_key, lin_key in _SYSTEM_DB_ALTERNATES.items():
@@ -473,6 +494,9 @@ def sweep_spec_from_dict(data):
     unknown = set(sweep) - {"variable", "values", "trials", "outputs", "n_candidates"}
     if unknown:
         raise ValueError(f"unknown sweep keys {sorted(unknown)}")
+    for key in ("values", "outputs", "n_candidates"):
+        if not isinstance(sweep.get(key, []), list):
+            raise ValueError(f"sweep {key} must be a list, got {sweep[key]!r}")
     outputs = sweep.get("outputs")
     return SweepSpec(base=base,
                      sweep_variable=sweep.get("variable", "fronthaul_rate"),

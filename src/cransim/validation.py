@@ -170,14 +170,14 @@ def run_validation(seed=0):
     check("baseline signal-space basis is lossless",
           abs(joint_mi(Q, H, 5.0) - full_joint_mi(H, 5.0)) < 1e-8)
 
-    # compression plan sanity at two rates: monotone rates, shrinking noise
-    plan_lo = build_plan(Q, H, 4.0, 5.0)
-    plan_hi = build_plan(Q, H, 8.0, 5.0)
-    mono = np.all(plan_hi.rates >= plan_lo.rates - 1e-12)
-    phi_mono = np.all(plan_hi.Phi <= plan_lo.Phi * (1 + 1e-12))
+    # compression plan sanity at two rates in one stacked plan: monotone rates,
+    # shrinking noise
+    plan = build_plan(Q, H, np.array([4.0, 8.0]), 5.0)
+    mono = np.all(plan.rates[1] >= plan.rates[0] - 1e-12)
+    phi_mono = np.all(plan.Phi[1] <= plan.Phi[0] * (1 + 1e-12))
     check("higher fronthaul rate never lowers a component rate or raises its noise",
           mono and phi_mono)
-    caps = [cap.sum_capacity(p.G, p.Phi, 5.0) for p in (plan_lo, plan_hi)]
+    caps = cap.sum_capacity(plan.G, plan.Phi, 5.0)
     check("sum capacity is monotone in the fronthaul rate", caps[1] >= caps[0] - 1e-9,
           f"{caps[0]:.3f} -> {caps[1]:.3f}")
 

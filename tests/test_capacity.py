@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
-from cransim.capacity import (capacity_report, cutset_bound, lmmse_sqinr, lmmse_weights,
-                              sum_capacity)
+from cransim.capacity import capacity_report, cutset_bound, lmmse_sqinr, sum_capacity
 from cransim.compression import build_plan
 from cransim.dimred import full_joint_mi, joint_mi, mfgs_select
+from cransim.linalg import adjoint
 from cransim.scenario import SystemConfig, generate_realization
 from cransim.validation import random_channels
+
+
+def lmmse_weights(G, phi, rho):
+    """Explicit LMMSE combining weights, stacked (L, K, n) like G.
+
+    W_l = rho * (I + rho sum G'(Phi+I)^{-1}G)^{-1} G_l' (Phi_l + I)^{-1}, formed
+    by direct inversion; a dropped component gets a zero column.
+    """
+    Gw = G / (phi + 1.0)[..., None]
+    B = np.eye(G.shape[-1]) + rho * sum(adjoint(Gl) @ Wl for Gl, Wl in zip(G, Gw))
+    return rho * (np.linalg.inv(B) @ adjoint(Gw))
 
 
 def _pipeline(cfg, seed, R=None):
@@ -66,6 +77,27 @@ class TestSumCapacity:
         sq, _ = lmmse_sqinr(np.concatenate([G, junk]),
                             np.concatenate([phi, np.full(3, np.inf)]), rho)
         assert np.allclose(sq, lmmse_sqinr(G, phi, rho)[0], rtol=1e-12)
+
+    def test_stack_equals_slices(self, rng):
+        # G over 2 designs, Phi over 3 rates x 2 designs, rho per design; one slice
+        # drops a component and one drops everything
+        H = random_channels(5, 3, 4, rng)
+        rho = np.array([2.0, 30.0])
+        Q = mfgs_select(np.stack([H, H]), rho, 2).Q
+        G = Q.conj().swapaxes(-1, -2) @ H
+        phi = rng.uniform(0.1, 3.0, size=(3, 2, 3, 2))
+        phi[1, 0, 2, 1] = np.inf
+        phi[2, 1] = np.inf
+        caps = sum_capacity(G, phi, rho)
+        sqinr, user = lmmse_sqinr(G, phi, rho)
+        assert caps.shape == (3, 2) and sqinr.shape == user.shape == (3, 2, 5)
+        for i in range(3):
+            for d in range(2):
+                assert caps[i, d] == sum_capacity(G[d], phi[i, d], rho[d])
+                one_sq, one_user = lmmse_sqinr(G[d], phi[i, d], rho[d])
+                assert np.array_equal(sqinr[i, d], one_sq)
+                assert np.array_equal(user[i, d], one_user)
+        assert caps[2, 1] == 0.0 and np.all(user[2, 1] == 0)
 
 
 class TestLmmse:

@@ -112,3 +112,22 @@ class TestConfigErrors:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("cransim: error: ") and message in err
+
+    @pytest.mark.parametrize("command", [["sweep", "--output", "o.csv"], ["trial"]])
+    @pytest.mark.parametrize("config, extra, message", [
+        ({"schema": CONFIG_SCHEMA, "system": {"pilot_snr": "perfect"},
+          "sweep": {"values": [1.0]}}, ["--csi", "pilot"], "requires a numeric pilot_snr"),
+        ([{"schema": CONFIG_SCHEMA}], [], "config must be a JSON object, got list"),
+        ({"schema": CONFIG_SCHEMA, "sweep": {"values": 3}}, [],
+         "sweep values must be a list, got 3"),
+    ])
+    def test_bad_config_content_exits_2(self, tmp_path, capsys, command, config, extra,
+                                        message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as info:
+            main([command[0], "--config", str(path)] + command[1:] + extra)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cransim: error: ") and message in err
+        assert "Traceback" not in err

@@ -147,6 +147,27 @@ class TestWaterfill:
             distinct = max(distinct, len(set(n.tolist())))
         assert distinct >= 3
 
+    @pytest.mark.parametrize("surcharge", [0.0, LLOYD_MAX_RATE_PENALTY])
+    def test_rate_array_equals_scalar_calls(self, surcharge):
+        lam = np.array([[9.0, 4.0, 2.0, 1.0],
+                        [50.0, 1.0, 1e-3, 1e-6],
+                        [3.0, 3.0, 3.0, 0.0],
+                        [1.0, 0.5, 0.25, 0.125]])
+        R = np.array([0.0, 0.7, 2.5, 6.0, 9.0, 20.0])
+        rates, n = waterfill(lam, R[:, None], surcharge=surcharge)
+        assert rates.shape == (6, 4, 4) and n.shape == (6, 4)
+        for i, r in enumerate(R):
+            want, n_want = waterfill(lam, r, surcharge=surcharge)
+            assert np.array_equal(rates[i], want) and np.array_equal(n[i], n_want)
+        assert len(set(n.ravel().tolist())) >= 3
+        # one budget per row
+        per_row, _ = waterfill(lam, R[1:5], surcharge=surcharge)
+        for l in range(4):
+            assert np.array_equal(per_row[l], waterfill(lam[l], R[l + 1],
+                                                        surcharge=surcharge)[0])
+        with pytest.raises(ValueError, match="budget"):
+            waterfill(lam, np.array([[1.0], [-1.0]]))
+
     def test_stack_checks_each_row_on_its_own_scale(self):
         # row 1 is out of order by 1e-6: tiny next to row 0's top eigenvalue, but
         # far beyond its own tolerance
@@ -275,3 +296,30 @@ class TestBuildPlan:
                 assert np.array_equal(one.lam[0], plan.lam[l])
                 assert np.allclose(one.G[0], plan.G[l], rtol=0, atol=1e-12)
                 assert one.active[0] == plan.active[l]
+
+    @pytest.mark.parametrize("surcharge", [0.0, LLOYD_MAX_RATE_PENALTY])
+    @pytest.mark.parametrize("csi", ["perfect", "pilot"])
+    def test_rate_and_design_stack_equals_per_rate_plans(self, csi, surcharge):
+        # two designs (rho values) x four rates in one call, against 8 unstacked plans
+        cfg = SystemConfig(K=6, L=3, M=4, N=3, pilot_snr=5.0, rng_seed=6)
+        ch = generate_realization(cfg, np.random.default_rng(6))
+        rho = np.array([3.0, 40.0])
+        H, kw = np.stack([ch.H, ch.H]), {}
+        if csi == "pilot":
+            H, omega = whiten(estimate_channels(ch, np.full(2, cfg.pilot_snr),
+                                                np.random.default_rng(7)), rho)
+            kw = dict(H_true=ch.H, omega=omega)
+        Q = mfgs_select(H, rho, cfg.N).Q
+        R = np.array([0.0, 1.0, 3.0, 9.0])
+        plan = build_plan(Q, H, R, rho, surcharge=surcharge, **kw)
+        assert plan.G.shape == (2, 3, 3, 6) and plan.lam.shape == (2, 3, 3)
+        assert plan.Phi.shape == plan.rates.shape == (4, 2, 3, 3)
+        assert plan.active.shape == (4, 2, 3)
+        for d in range(2):
+            for i, r in enumerate(R):
+                one = build_plan(Q[d], H[d], r, rho[d], surcharge=surcharge,
+                                 **{k: v if k == "H_true" else v[d] for k, v in kw.items()})
+                for field in ("V", "lam", "G"):
+                    assert np.array_equal(getattr(one, field), getattr(plan, field)[d])
+                for field in ("rates", "Phi", "active"):
+                    assert np.array_equal(getattr(one, field), getattr(plan, field)[i, d])

@@ -1,25 +1,46 @@
 """Smoke test: the demo scripts run to completion against the current API.
 
-Demo 04 is left out: it takes about ten seconds and writes
-demos/rate_capacity.csv into the source tree.
+Demo 04, the headline rate-capacity experiment, runs from a copy in a
+temporary directory, so it does not overwrite the committed
+demos/rate_capacity.csv, and its CSV must match that file.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from cransim.harness import read_csv
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_scenario_and_channels", "02_greedy_dimension_reduction",
          "03_transform_coding", "05_imperfect_csi")
 
 
-@pytest.mark.parametrize("name", DEMOS)
-def test_demo_runs(name):
+def _run(script, cwd):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")], cwd=ROOT,
+    proc = subprocess.run([sys.executable, str(script)], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    _run(ROOT / "demos" / f"{name}.py", ROOT)
+
+
+def test_rate_capacity_demo_reproduces_committed_csv(tmp_path):
+    script = tmp_path / "04_rate_capacity_tradeoff.py"
+    shutil.copy(ROOT / "demos" / script.name, script)
+    _run(script, tmp_path)
+    got, want = read_csv(tmp_path / "rate_capacity.csv"), read_csv(ROOT / "demos" /
+                                                                   "rate_capacity.csv")
+    assert [(r.value, r.mode, r.N, r.metric) for r in got] == [
+        (r.value, r.mode, r.N, r.metric) for r in want]
+    for g, w in zip(got, want):
+        assert g.mean == pytest.approx(w.mean, rel=1e-12, abs=0)
+        assert g.p05 == pytest.approx(w.p05, rel=1e-12, abs=0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cransim import harness
+from cransim.compression import LLOYD_MAX_RATE_PENALTY
 from cransim.harness import (CONFIG_SCHEMA, SweepSpec, best_dimension, emit_csv,
                              load_sweep_spec, mi_proportion_sweep, read_csv, run_sweep,
                              run_trial, sweep_spec_from_dict, trial_stream)
@@ -22,6 +23,19 @@ def _spec(cfg=None, **kw):
                 outputs=("sum_capacity", "baseline", "cutset"))
     base.update(kw)
     return SweepSpec(base=cfg or _cfg(), **base)
+
+
+def _assert_batch_independent(variable, values, csi, surcharge):
+    """Rows of a sweep equal, exactly, the rows of its values swept one at a time."""
+    cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=10.0)
+
+    def sweep(vals):
+        return run_sweep(_spec(cfg, sweep_variable=variable, values=vals, trials=3,
+                               outputs=None, n_candidates=(1, 3)), csi=csi, surcharge=surcharge)
+
+    singles = {v: sweep([v]) for v in values}
+    for order in (values, values[::-1]):
+        assert sweep(order) == [row for v in order for row in singles[v]]
 
 
 class TestRunTrial:
@@ -197,6 +211,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="n_candidates"):
             sweep_spec_from_dict({**good, "sweep": {"values": [1.0], "outputs": ["best_n"],
                                                     "n_candidates": [2.7, True]}})
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            sweep_spec_from_dict([good])
+        for section in ("system", "sweep"):
+            with pytest.raises(ValueError, match=f"{section} section must be a JSON object"):
+                sweep_spec_from_dict({**good, section: [["K", 4]]})
+        for key, bad in (("values", 3), ("values", "1.0"), ("outputs", "cutset"),
+                         ("n_candidates", 2)):
+            with pytest.raises(ValueError, match=f"sweep {key} must be a list"):
+                sweep_spec_from_dict({**good, "sweep": {"values": [1.0], key: bad}})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -274,17 +297,16 @@ class TestRunSweep:
         ("rho", [1.0, 10.0, 100.0], "pilot"),      # one design per (rho, pilot state)
         ("pilot_snr", [1.0, 10.0, 1000.0], "pilot"),
         ("rho", [1.0, 10.0, 100.0], "perfect"),
+        ("fronthaul_rate", [1.0, 4.0, 16.0], "perfect"),   # one plan stacks every rate
+        ("fronthaul_rate", [1.0, 4.0, 16.0], "pilot"),
     ])
     def test_rows_do_not_depend_on_which_values_share_a_sweep(self, variable, values, csi):
-        cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=10.0)
+        _assert_batch_independent(variable, values, csi, 0.0)
 
-        def sweep(vals):
-            return run_sweep(_spec(cfg, sweep_variable=variable, values=vals, trials=3,
-                                   outputs=None, n_candidates=(1, 3)), csi=csi)
-
-        singles = {v: sweep([v]) for v in values}
-        for order in (values, values[::-1]):
-            assert sweep(order) == [row for v in order for row in singles[v]]
+    @pytest.mark.parametrize("csi", ["perfect", "pilot"])
+    def test_rows_do_not_depend_on_which_rates_share_a_lloyd_max_sweep(self, csi):
+        _assert_batch_independent("fronthaul_rate", [1.0, 4.0, 16.0], csi,
+                                  LLOYD_MAX_RATE_PENALTY)
 
     def test_failure_names_trial_value_mode_and_csi(self, monkeypatch):
         def boom(*a, **k):
@@ -296,6 +318,20 @@ class TestRunSweep:
             run_sweep(_spec())
         assert isinstance(info.value.__cause__, ArithmeticError)
 
+    @pytest.mark.parametrize("csi", ["perfect", "pilot"])
+    def test_failure_inside_a_rate_stack_names_the_failing_rate(self, monkeypatch, csi):
+        real = harness.build_plan
+
+        def fails_at_four(Q, H, R, *a, **k):
+            if np.any(np.asarray(R) == 4.0):
+                raise ArithmeticError("synthetic failure")
+            return real(Q, H, R, *a, **k)
+        monkeypatch.setattr(harness, "build_plan", fails_at_four)
+        spec = _spec(_cfg(pilot_snr=10.0), values=[1.0, 4.0, 16.0], outputs=("sum_capacity",))
+        with pytest.raises(RuntimeError, match=rf"trial 0 failed at fronthaul_rate=4.0 in mode "
+                                               rf"'proposed' at N=2 \(csi={csi}\)$") as info:
+            run_sweep(spec, csi=csi)
+        assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_design_failure_names_trial_batched_values_and_csi(self, monkeypatch):
         def boom(*a, **k):
