@@ -7,8 +7,9 @@
 import numpy as np
 
 from cransim import (SystemConfig, full_joint_mi, generate_realization, mfgs_select,
-                     stage_gain_diagnostics, truncate_selection)
+                     truncate_selection)
 from cransim.harness import trial_stream
+from cransim.validation import stage_gain_diagnostics
 
 cfg = SystemConfig(K=8, L=4, M=8, N=8, rho=10.0 ** 1.5, rng_seed=7)
 channels = generate_realization(cfg, trial_stream(cfg.rng_seed, 0))

@@ -6,8 +6,8 @@
 
 import numpy as np
 
-from cransim import (SystemConfig, approx_quant_noise, build_plan, generate_realization,
-                     mfgs_select, sum_capacity, waterfill)
+from cransim import (SystemConfig, build_plan, generate_realization, mfgs_select,
+                     sum_capacity, waterfill)
 from cransim.harness import trial_stream
 
 cfg = SystemConfig(K=8, L=4, M=8, N=2, rho=10.0 ** 1.5, rng_seed=3)
@@ -30,10 +30,11 @@ for R in (2.0, 8.0, 32.0):
         phi = np.round(plan.Phi[l], 3)
         print(f"  rx {l}: eigenvalues {lam}  rates {rates}  noise {phi}")
 
-# the geometric-mean approximation vs the exact noise at a comfortable rate
+# the high-rate approximation rho * (prod lam)^(1/N) * 2^(-R/N), which assumes
+# all N components active, vs the exact noise at a comfortable rate
 plan = build_plan(sel.Q, channels.H, 32.0, cfg.rho)
 for l in range(cfg.L):
-    approx = approx_quant_noise(plan.lam[l], 32.0, cfg.N, cfg.rho)
+    approx = cfg.rho * np.exp(np.mean(np.log(plan.lam[l][:cfg.N]))) * 2.0 ** (-32.0 / cfg.N)
     exact = plan.Phi[l].mean()
     print(f"rx {l}: approx noise {approx:.4f} vs exact mean {exact:.4f} "
           f"({abs(approx - exact) / exact:.1%} off)")

@@ -136,16 +136,6 @@ def true_component_variances(V, Q, omega, H_true, rho):
     return sig + noise
 
 
-def approx_quant_noise(lam, R, N, rho):
-    """High-rate approximation rho * (prod lam)^(1/N) * 2^(-R/N).
-
-    Diagnostic only; assumes all N components are active and is tight when
-    rho*lam and 2^(R/N) are both large.
-    """
-    lam = np.asarray(lam, dtype=float)[:N]
-    return float(rho * np.exp(np.mean(np.log(lam))) * 2.0 ** (-R / N))
-
-
 def build_plan(Q, H, R, rho, H_true=None, omega=None, surcharge=0.0):
     """Assemble the compression plan of every receiver in one stacked pass.
 

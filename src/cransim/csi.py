@@ -25,7 +25,6 @@ class CsiModel:
 
     H_hat: np.ndarray                # (L, M, K) estimated channels
     err_var: np.ndarray              # (L, K)
-    H_true: np.ndarray               # (L, M, K) true channels, kept for quantiser-noise evaluation
 
 
 def estimate_channels(channels, pilot_snr, rng):
@@ -43,7 +42,7 @@ def estimate_channels(channels, pilot_snr, rng):
     if isinstance(pilot_snr, str):
         if pilot_snr != PERFECT_CSI:
             raise ValueError(f"pilot_snr must be a positive number or '{PERFECT_CSI}'")
-        return CsiModel(H_hat=channels.H.copy(), err_var=np.zeros((L, K)), H_true=channels.H)
+        return CsiModel(H_hat=channels.H.copy(), err_var=np.zeros((L, K)))
     snr = np.asarray(pilot_snr, dtype=float)[..., None, None]
     if np.any(snr <= 0):
         raise ValueError("pilot_snr must be > 0")
@@ -53,7 +52,7 @@ def estimate_channels(channels, pilot_snr, rng):
     coeff = np.sqrt(snr) * sigma2 / (1.0 + snr * sigma2)   # (..., L, K)
     H_hat = coeff[..., None, :] * (np.sqrt(snr)[..., None] * channels.H + noise)
     err_var = sigma2 / (1.0 + snr * sigma2)
-    return CsiModel(H_hat=H_hat, err_var=err_var, H_true=channels.H)
+    return CsiModel(H_hat=H_hat, err_var=err_var)
 
 
 def whiten(csi, rho):

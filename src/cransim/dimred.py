@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, adjoint, hermitize, logdet2_hpd
+from .linalg import adjoint, hermitize, logdet2_hpd
 
 log = logging.getLogger(__name__)
 
@@ -21,8 +21,6 @@ DEGENERATE_PROJECTION_TOL = 1e-12
 
 # relative tie window in the argmax; lowest user index wins inside it
 ARGMAX_TIE_REL_TOL = 1e-12
-
-GAIN_IDENTITY_TOL = 1e-8
 
 
 @dataclass
@@ -50,68 +48,6 @@ class DimensionReductionResult:
     def mi(self):
         """Joint mutual information of the reduced-dimension signals, bits (per element)."""
         return self.mi_trajectory[..., -1]
-
-
-@dataclass
-class EquivalentChannelDiagnostics:
-    """Eigen-structure of the accumulated equivalent channel at one stage.
-
-    upsilon are its eigenvalues sorted descending with eigenvectors in the
-    columns of U; gamma is the candidate's captured signal power and c its
-    unit-norm projection onto the user-symbol space (None when degenerate).
-    """
-
-    upsilon: np.ndarray
-    U: np.ndarray
-    gamma: float
-    c: np.ndarray | None
-
-
-def orthonormalize(F, tol=1e-12):
-    """Gram-Schmidt with column dropping: returns an orthonormal basis of span(F).
-
-    Columns whose residual energy falls below tol times their own energy are
-    rejected as linearly dependent.
-    """
-    F = np.asarray(F, dtype=complex)
-    cols = []
-    for j in range(F.shape[1]):
-        v = F[:, j].copy()
-        energy = float(np.real(v.conj() @ v))
-        if energy == 0.0:
-            continue
-        for q in cols:
-            v -= (q.conj() @ v) * q
-        residual = float(np.real(v.conj() @ v))
-        if residual <= tol * energy:
-            continue
-        # second pass for numerical orthogonality
-        for q in cols:
-            v -= (q.conj() @ v) * q
-        cols.append(v / np.linalg.norm(v))
-    if not cols:
-        return np.zeros((F.shape[0], 0), dtype=complex)
-    return np.column_stack(cols)
-
-
-def joint_mi(filters, H, rho):
-    """Joint mutual information of the filtered signals, in bits.
-
-    filters holds one matrix of filter columns per receiver (a list, or a stack
-    when every receiver has the same count); raw (non-orthonormal) filters are
-    orthonormalized first, which leaves the result unchanged for
-    linearly independent columns and drops dependent ones.
-    Returns log2 det(I_K + rho * sum_l H_l' Q_l Q_l' H_l).
-    """
-    K = H[0].shape[1]
-    B = np.eye(K, dtype=complex)
-    for F, Hl in zip(filters, H):
-        Q = orthonormalize(F)
-        if Q.shape[1] == 0:
-            continue
-        T = Q.conj().T @ Hl
-        B += rho * (T.conj().T @ T)
-    return logdet2_hpd(B)
 
 
 def _gram(T, rho):
@@ -143,20 +79,6 @@ def signal_space_basis(H):
     return np.linalg.qr(H)[0]
 
 
-def selection_metric(A, H, P, h):
-    """Ratio-form greedy score of one candidate channel vector.
-
-    (h'P H A H' P h) / (h'P h): the norm of h cancels, so the score depends
-    only on the direction of the projected candidate. Degenerate projections
-    score -inf.
-    """
-    w = P @ np.asarray(h, dtype=complex)
-    n2 = float(np.real(w.conj() @ w))
-    if n2 <= DEGENERATE_PROJECTION_TOL:
-        return -np.inf
-    return float(np.real(w.conj() @ (H @ (A @ (H.conj().T @ w))))) / n2
-
-
 def rank1_update(A, H, q, rho):
     """Refresh A = (I + rho * sum of filtered outer products)^{-1} after adding filter q.
 
@@ -170,39 +92,6 @@ def rank1_update(A, H, q, rho):
     uA = adjoint(Au)                      # = u'A, as A is Hermitian
     denom = 1.0 / np.asarray(rho) + (uA @ u).real[..., 0, 0]
     return A - (Au @ uA) / denom[..., None, None]
-
-
-def stage_gain_diagnostics(A, H, q, rho):
-    """MI gain of appending filter q, with the eigen-decomposed cross-check.
-
-    Returns (EquivalentChannelDiagnostics, gain_bits). The gain is computed
-    both from the determinant lemma, log2(1 + rho q'H A H'q), and from the
-    eigen form log2(1 + gamma * sum_i rho |u_i'c|^2 / (1 + rho upsilon_i));
-    disagreement beyond tolerance raises NumericalError. A degenerate
-    candidate (H'q = 0) yields zero gain and c = None.
-    """
-    u = H.conj().T @ np.asarray(q, dtype=complex)
-    gamma = float(np.real(u.conj() @ u))
-
-    d, U = np.linalg.eigh(hermitize(A))       # d ascending <=> upsilon descending
-    upsilon = (1.0 / d - 1.0) / rho
-    if np.any(upsilon < -1e-9):
-        raise NumericalError("running inverse has eigenvalues above 1; not a valid state")
-    upsilon = np.maximum(upsilon, 0.0)
-
-    if gamma <= DEGENERATE_PROJECTION_TOL:
-        diag = EquivalentChannelDiagnostics(upsilon=upsilon, U=U, gamma=gamma, c=None)
-        return diag, 0.0
-
-    c = u / np.sqrt(gamma)
-    gain_lemma = float(np.log2(1.0 + rho * np.real(u.conj() @ (A @ u))))
-    proj = np.abs(U.conj().T @ c) ** 2
-    gain_eig = float(np.log2(1.0 + gamma * np.sum(rho * proj / (1.0 + rho * upsilon))))
-    if abs(gain_lemma - gain_eig) > GAIN_IDENTITY_TOL * max(1.0, abs(gain_lemma)):
-        raise NumericalError(
-            f"stage-gain identity violated: lemma {gain_lemma!r} vs eigen {gain_eig!r}")
-    diag = EquivalentChannelDiagnostics(upsilon=upsilon, U=U, gamma=gamma, c=c)
-    return diag, gain_lemma
 
 
 def mfgs_select(H, rho, N):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import capacity as cap
 from .compression import build_plan
-from .csi import CsiModel, estimate_channels, whiten
+from .csi import estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
 from .linalg import adjoint
@@ -153,11 +153,11 @@ class _Design:
 
     Built for a list of keys, every array but H_true has a leading key axis.
     H (L, M, K) holds the design channels: the truth under perfect CSI, the
-    whitened estimates under pilot CSI, where H_true, the equivalent-noise
-    levels omega (L,) and csi_model carry the rest of the CSI state (None
-    under perfect CSI). selection is one greedy run at the largest dimension
-    any caller reads: by the prefix property its first n rounds are the run
-    at n. cutset_mi is the full-dimension MI of the true channels.
+    whitened estimates under pilot CSI, where H_true and the equivalent-noise
+    levels omega (L,) carry the rest of the CSI state (None under perfect
+    CSI). selection is one greedy run at the largest dimension any caller
+    reads: by the prefix property its first n rounds are the run at n.
+    cutset_mi is the full-dimension MI of the true channels.
     """
 
     rho: np.ndarray
@@ -166,7 +166,6 @@ class _Design:
     cutset_mi: np.ndarray
     H_true: np.ndarray | None = None
     omega: np.ndarray | None = None
-    csi_model: CsiModel | None = None
     selection: DimensionReductionResult | None = None
     baseline_Q: np.ndarray | None = None
 
@@ -191,7 +190,7 @@ def _designs(channels, keys, csi, seed, trial, nmax, baseline):
         full_mi = full_joint_mi(H, rho)
         rhos, which = np.unique(rho, return_inverse=True)
         cutset_mi = full_joint_mi(channels.H, rhos)[which]
-        extra = {"H_true": channels.H, "omega": omega, "csi_model": model}
+        extra = {"H_true": channels.H, "omega": omega}
     else:
         H = np.broadcast_to(channels.H, rho.shape + channels.H.shape)
         full_mi = cutset_mi = full_joint_mi(channels.H, rho)
@@ -256,7 +255,7 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
     The realization is reproduced from (config.rng_seed, trial), so calling
     with different modes but the same trial index evaluates the same channels.
     It is the sweep kernel's batch of one: a single key and a scalar rate,
-    so the plan in details has the unstacked shapes of CompressionPlan.
+    so the "selection" and "plan" that details=True keeps are unstacked.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -276,8 +275,7 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
         raise RuntimeError(f"trial {trial} failed in mode '{mode}' (csi={csi})") from exc
     det = None
     if details and mode != "cutset":
-        det = {"selection": design.selection, "plan": plan, "channels": channels,
-               "csi": design.csi_model}
+        det = {"selection": design.selection, "plan": plan}
     return TrialRecord(trial=trial, seed=config.rng_seed, config=config, mode=mode,
                        csi_mode=_CSI_LABELS[csi], metrics={m: v[()] for m, v in metrics.items()},
                        details=det)
@@ -303,7 +301,8 @@ def mi_proportion_sweep(config, rho_values, n_values, trials):
     sweep kernel: each trial draws its channels once, and one greedy run per
     (trial, SNR) serves every N.
     """
-    n_values = [int(n) for n in n_values]
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     grid = [(rho, n) for rho in rho_values for n in n_values]
     configs = [replace(config, rho=rho, N=n) for rho, n in grid]
     samples = _collect(config, configs, [f"rho={rho}, N={n}" for rho, n in grid],
@@ -445,7 +444,7 @@ def read_csv(path):
     rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if tuple(reader.fieldnames) != CSV_COLUMNS:
+        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {reader.fieldnames}")
         for rec in reader:
             rows.append(SweepRow(

@@ -1,19 +1,38 @@
-"""Self-contained oracle and invariant checks, runnable from the CLI.
+"""Oracles and the invariant checks behind `cransim validate`.
 
-Each check re-derives its expected value through an independent route
-(scratch recomputation, direct inversion, hand-computed cases) and compares
-the production path against it. Returns a list of (name, passed, detail).
+Each oracle re-derives a production value by an independent route (scratch
+greedy search, slogdet or arbitrary-filter joint MI, the eigen form of the
+stage gain); run_validation checks the pipeline against them and against
+hand-computed cases, returning a list of (name, passed, detail).
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import capacity as cap
 from .compression import build_plan, quant_noise, waterfill
-from .dimred import (full_joint_mi, joint_mi, mfgs_select, orthonormalize,
-                     signal_space_basis, stage_gain_diagnostics)
+from .dimred import DEGENERATE_PROJECTION_TOL, full_joint_mi, mfgs_select, signal_space_basis
 from .harness import run_trial, trial_stream
-from .linalg import NumericalError
+from .linalg import NumericalError, hermitize, logdet2_hpd
 from .scenario import SystemConfig, generate_realization, power_control
+
+GAIN_IDENTITY_TOL = 1e-8
+
+
+@dataclass
+class EquivalentChannelDiagnostics:
+    """Eigen-structure of the accumulated equivalent channel at one stage.
+
+    upsilon are its eigenvalues sorted descending with eigenvectors in the
+    columns of U; gamma is the candidate's captured signal power and c its
+    unit-norm projection onto the user-symbol space (None when degenerate).
+    """
+
+    upsilon: np.ndarray
+    U: np.ndarray
+    gamma: float
+    c: np.ndarray | None
 
 
 def random_channels(K, L, M, rng):
@@ -31,12 +50,77 @@ def _joint_matrix(bases, H, rho):
     return B
 
 
+def orthonormalize(F, tol=1e-12):
+    """Gram-Schmidt with column dropping: returns an orthonormal basis of span(F).
+
+    Columns whose residual energy falls below tol times their own energy are
+    rejected as linearly dependent.
+    """
+    F = np.asarray(F, dtype=complex)
+    cols = []
+    for j in range(F.shape[1]):
+        v = F[:, j].copy()
+        energy = float(np.real(v.conj() @ v))
+        if energy == 0.0:
+            continue
+        for q in cols:
+            v -= (q.conj() @ v) * q
+        residual = float(np.real(v.conj() @ v))
+        if residual <= tol * energy:
+            continue
+        # second pass for numerical orthogonality
+        for q in cols:
+            v -= (q.conj() @ v) * q
+        cols.append(v / np.linalg.norm(v))
+    return np.column_stack(cols) if cols else np.zeros((F.shape[0], 0), dtype=complex)
+
+
+def joint_mi(filters, H, rho):
+    """Joint MI in bits of arbitrary filters, one matrix of columns per receiver.
+
+    The filters are orthonormalized first, which leaves the result unchanged
+    for linearly independent columns and drops dependent ones.
+    """
+    return logdet2_hpd(_joint_matrix([orthonormalize(F) for F in filters], H, rho))
+
+
 def mi_reference(bases, H, rho):
     """Joint MI in bits via slogdet: an independent route from the package's Cholesky."""
     sign, logdet = np.linalg.slogdet(_joint_matrix(bases, H, rho))
     if sign.real <= 0:
         raise NumericalError("joint-MI matrix is not positive definite")
     return logdet / np.log(2.0)
+
+
+def stage_gain_diagnostics(A, H, q, rho):
+    """MI gain of appending filter q, with the eigen-decomposed cross-check.
+
+    Returns (EquivalentChannelDiagnostics, gain_bits). The gain is computed
+    both from the determinant lemma, log2(1 + rho q'H A H'q), and from the
+    eigen form log2(1 + gamma * sum_i rho |u_i'c|^2 / (1 + rho upsilon_i));
+    disagreement beyond tolerance raises NumericalError. A degenerate
+    candidate (H'q = 0) yields zero gain and c = None.
+    """
+    u = H.conj().T @ np.asarray(q, dtype=complex)
+    gamma = float(np.real(u.conj() @ u))
+
+    d, U = np.linalg.eigh(hermitize(A))       # d ascending <=> upsilon descending
+    upsilon = (1.0 / d - 1.0) / rho
+    if np.any(upsilon < -1e-9):
+        raise NumericalError("running inverse has eigenvalues above 1; not a valid state")
+    upsilon = np.maximum(upsilon, 0.0)
+
+    if gamma <= DEGENERATE_PROJECTION_TOL:
+        return EquivalentChannelDiagnostics(upsilon=upsilon, U=U, gamma=gamma, c=None), 0.0
+
+    c = u / np.sqrt(gamma)
+    gain_lemma = float(np.log2(1.0 + rho * np.real(u.conj() @ (A @ u))))
+    proj = np.abs(U.conj().T @ c) ** 2
+    gain_eig = float(np.log2(1.0 + gamma * np.sum(rho * proj / (1.0 + rho * upsilon))))
+    if abs(gain_lemma - gain_eig) > GAIN_IDENTITY_TOL * max(1.0, abs(gain_lemma)):
+        raise NumericalError(
+            f"stage-gain identity violated: lemma {gain_lemma!r} vs eigen {gain_eig!r}")
+    return EquivalentChannelDiagnostics(upsilon=upsilon, U=U, gamma=gamma, c=c), gain_lemma
 
 
 def greedy_reference(H, rho, N):

@@ -13,12 +13,11 @@ import scipy.stats
 from cransim.capacity import sum_capacity
 from cransim.cli import main as cli_main
 from cransim.compression import build_plan, quant_noise, waterfill
-from cransim.dimred import (full_joint_mi, joint_mi, mfgs_select, orthonormalize,
-                            signal_space_basis, stage_gain_diagnostics,
-                            truncate_selection)
+from cransim.dimred import full_joint_mi, mfgs_select, signal_space_basis, truncate_selection
 from cransim.harness import SweepSpec, run_sweep, run_trial, trial_stream
 from cransim.scenario import SystemConfig, generate_realization
-from cransim.validation import greedy_reference, random_channels
+from cransim.validation import (greedy_reference, joint_mi, orthonormalize, random_channels,
+                                stage_gain_diagnostics)
 
 RHO_15DB = 10.0 ** 1.5
 

@@ -3,10 +3,10 @@ import pytest
 
 from cransim.capacity import capacity_report, cutset_bound, lmmse_sqinr, sum_capacity
 from cransim.compression import build_plan
-from cransim.dimred import full_joint_mi, joint_mi, mfgs_select
+from cransim.dimred import full_joint_mi, mfgs_select
 from cransim.linalg import adjoint
 from cransim.scenario import SystemConfig, generate_realization
-from cransim.validation import random_channels
+from cransim.validation import joint_mi, random_channels
 
 
 def lmmse_weights(G, phi, rho):

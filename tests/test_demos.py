@@ -1,4 +1,4 @@
-"""Smoke test: the demo scripts run to completion against the current API.
+"""Smoke test: the demo scripts and the README's library example run to completion.
 
 Demo 04, the headline rate-capacity experiment, runs from a copy in a
 temporary directory, so it does not overwrite the committed
@@ -6,6 +6,7 @@ demos/rate_capacity.csv, and its CSV must match that file.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,14 @@ def _run(script, cwd):
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name):
     _run(ROOT / "demos" / f"{name}.py", ROOT)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start \(library\)\s+```python\n(.*?)```", readme, re.S)
+    script = tmp_path / "quick_start.py"
+    script.write_text(block.group(1))
+    _run(script, tmp_path)
 
 
 def test_rate_capacity_demo_reproduces_committed_csv(tmp_path):

@@ -73,7 +73,7 @@ class TestRunTrial:
 
     def test_details_payload(self):
         rec = run_trial(_cfg(), trial=0, details=True)
-        assert rec.details is not None
+        assert rec.details.keys() == {"selection", "plan"}
         assert rec.details["selection"].mi_trajectory.shape == (2 * 3,)
         assert len(rec.details["plan"].G) == 3
 
@@ -155,6 +155,16 @@ class TestMiProportion:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             mi_proportion_sweep(_cfg(), [1.0], [0], trials=1)
+
+    def test_rejects_non_integer_dimensions(self):
+        # 2.5 used to be truncated to 2, running N = 2 twice
+        with pytest.raises(ValueError, match="N must be an integer, got 2.5"):
+            mi_proportion_sweep(_cfg(), [10.0], [2.5, 2.0], 2)
+
+    @pytest.mark.parametrize("trials", [0, 2.5])
+    def test_rejects_bad_trial_counts(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            mi_proportion_sweep(_cfg(), [10.0], [2], trials)
 
 
 class TestSweepSpec:
@@ -369,6 +379,13 @@ class TestCsv:
             assert rec.p05 == orig.p05
             assert rec.value == orig.value
             assert (rec.mode, rec.metric, rec.N) == (orig.mode, orig.metric, orig.N)
+
+    @pytest.mark.parametrize("text", ["", "a,b\n1,2\n"])
+    def test_empty_file_or_wrong_header_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_csv(path)
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(OSError):
