@@ -52,6 +52,8 @@ def _resolved(spec, args):
     if args.seed is not None:
         base = replace(base, rng_seed=args.seed)
     spec = replace(spec, base=base)
+    if getattr(args, "trial", 0) < 0:
+        raise ValueError(f"trial must be a non-negative integer, got {args.trial}")
     if getattr(args, "trials", None) is not None:
         spec = replace(spec, trials=args.trials)
     csi = args.csi

@@ -213,7 +213,7 @@ def _n_column(mode, config):
 def _evaluate(design, keys, mode, n, R, wanted, surcharge):
     """The metrics in `wanted` for one (mode, n) on some keys of a design, at every rate R.
 
-    keys is a list of key indices (or ... for a one-key design) and R a
+    keys is a list of key indices (or ... for all of them) and R a
     scalar or a 1-D array of rates; each metric gets R's axes, then the key
     axis, in front of its own. Returns (metrics, plan). The harness's only
     plan and capacity calls, one for all rates and keys, made only when a
@@ -259,6 +259,8 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if not is_integer(trial) or trial < 0:
+        raise ValueError(f"trial must be a non-negative integer, got {trial!r}")
     check_csi(csi, [config])
     selects = mode in ("proposed", "unquantized")
     if selects:
@@ -301,55 +303,53 @@ def mi_proportion_sweep(config, rho_values, n_values, trials):
     sweep kernel: each trial draws its channels once, and one greedy run per
     (trial, SNR) serves every N.
     """
+    for name, values in (("rho_values", rho_values), ("n_values", n_values)):
+        if len(values) == 0:
+            raise ValueError(f"{name} must be non-empty")
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     grid = [(rho, n) for rho in rho_values for n in n_values]
     configs = [replace(config, rho=rho, N=n) for rho, n in grid]
-    samples = _collect(config, configs, [f"rho={rho}, N={n}" for rho, n in grid],
-                       trials, "perfect", 0.0, {"unquantized": {"mi_proportion"}}, [])
-    means = [np.mean(samples[(i, "unquantized", n, "mi_proportion")])
+    stats, at = _collect(config, configs, [f"rho={rho}, N={n}" for rho, n in grid],
+                         trials, "perfect", 0.0, {"unquantized": {"mi_proportion"}}, [])
+    means = [stats[("unquantized", n, "mi_proportion")][0][at[i]]
              for i, (_, n) in enumerate(grid)]
     return np.reshape(means, (len(rho_values), len(n_values)))
 
 
 def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
-    """Per-trial samples of every evaluation the configs need.
+    """Trial statistics of every evaluation the configs need.
 
     read maps each mode to the metrics its rows read; each best-N candidate
-    in cands adds a proposed sum capacity. Returns lists keyed by (config
-    index, mode, n, metric). Per trial, one batched design step builds a
-    design for each distinct SNR and CSI state, and the evaluations are
-    grouped by (mode, n) across all configs: each group runs one stacked
-    _evaluate over its keys and fronthaul rates. Each element of a batch is
-    computed on its own, so results do not depend on which configs share a
-    batch. A failure is re-raised as a RuntimeError naming the trial, the
-    labels of the configs in the failing step (all of them for the design
-    step; in a failing group, the member that fails alone), the mode and
-    the CSI mode.
+    in cands adds a proposed sum capacity. Per trial, one batched design step
+    builds a design for each distinct SNR and CSI state, and each (mode, n)
+    group runs one stacked _evaluate over all the configs' fronthaul rates and
+    CSI keys. That wastes no cell because every caller's configs form a
+    product grid over (rate, key, N): a one-variable sweep, or the (rho, N)
+    grid of mi_proportion_sweep. Returns (stats, at): stats maps (mode, n,
+    metric) to (mean, p05) arrays over trials of shape (rates, keys), user
+    capacities pooling trials x users, and config i reads cell at[i]. A
+    failure is re-raised as a RuntimeError naming the trial, the labels of the
+    configs in the failing step (all of them for the design step; in a failing
+    group, the member that fails alone at its rate and key), the mode and the
+    CSI mode.
     """
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
     nmax = max(dims + cands, default=0)
     keys = list(dict.fromkeys(_csi_key(cfg, csi) for cfg in configs))
-    key_of = [keys.index(_csi_key(cfg, csi)) for cfg in configs]
-    rate_of = [cfg.fronthaul_rate for cfg in configs]
+    rates = list(dict.fromkeys(cfg.fronthaul_rate for cfg in configs))
+    at = [(rates.index(cfg.fronthaul_rate), keys.index(_csi_key(cfg, csi))) for cfg in configs]
 
-    # (mode, n) -> {config index: metrics}; proposed at cfg.N doubles as best-N candidate cfg.N
+    # (mode, n) -> (metrics, member config indices); proposed at N doubles as candidate N
     groups = {}
     for ci, cfg in enumerate(configs):
-        for mode, metrics in read.items():
-            groups.setdefault((mode, _n_column(mode, cfg)), {})[ci] = set(metrics)
-        for n in cands:
-            groups.setdefault(("proposed", n), {}).setdefault(ci, set()).add("sum_capacity")
-    # per group: its keys and rates, and each member's metrics and (rate, key) position
-    stacks = []
-    for (mode, n), members in groups.items():
-        ks = list(dict.fromkeys(key_of[ci] for ci in members))
-        rs = list(dict.fromkeys(rate_of[ci] for ci in members))
-        stacks.append((mode, n, ks, rs, set().union(*members.values()),
-                       [(ci, m, (rs.index(rate_of[ci]), ks.index(key_of[ci])))
-                        for ci, m in members.items()]))
+        needs = [(mode, _n_column(mode, cfg), metrics) for mode, metrics in read.items()]
+        for mode, n, metrics in needs + [("proposed", c, {"sum_capacity"}) for c in cands]:
+            wanted, members = groups.setdefault((mode, n), (set(), {}))
+            wanted |= metrics
+            members[ci] = None
 
-    samples = {}
+    samples = {}    # (mode, n, metric) -> per-trial arrays of shape (rates, keys[, users])
     for trial in range(trials):
         channels = generate_realization(base, trial_stream(base.rng_seed, trial, 0))
         try:
@@ -358,14 +358,14 @@ def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
         except Exception as exc:
             raise RuntimeError(f"trial {trial} failed at {', '.join(labels)} in the design "
                                f"step (csi={csi})") from exc
-        for mode, n, ks, rs, wanted, members in stacks:
+        for (mode, n), (wanted, members) in groups.items():
             try:
-                metrics, _ = _evaluate(design, ks, mode, n, rs, wanted, surcharge)
+                metrics, _ = _evaluate(design, ..., mode, n, rates, wanted, surcharge)
             except Exception as exc:
-                failed = [ci for ci, _, _ in members]
+                failed = list(members)
                 for ci in failed:   # rare path: re-run each member alone to name the culprit
                     try:
-                        _evaluate(design, [key_of[ci]], mode, n, [rate_of[ci]], wanted,
+                        _evaluate(design, [at[ci][1]], mode, n, [rates[at[ci][0]]], wanted,
                                   surcharge)
                     except Exception as single:
                         exc, failed = single, [ci]
@@ -373,10 +373,14 @@ def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
                 raise RuntimeError(f"trial {trial} failed at "
                                    f"{', '.join(labels[ci] for ci in failed)} in mode "
                                    f"'{mode}' at N={n} (csi={csi})") from exc
-            for ci, wanted_ci, at in members:
-                for metric in wanted_ci:
-                    samples.setdefault((ci, mode, n, metric), []).append(metrics[metric][at])
-    return samples
+            for metric, value in metrics.items():
+                samples.setdefault((mode, n, metric), []).append(value)
+    stats = {}
+    for name, per_trial in samples.items():
+        # trial axis last and contiguous, so each cell reduces as a 1-D sample would
+        x = np.stack(per_trial, axis=2).reshape(len(rates), len(keys), -1)
+        stats[name] = np.mean(x, axis=-1), np.percentile(x, 5.0, axis=-1)
+    return stats, at
 
 
 def run_sweep(spec, csi="perfect", surcharge=0.0):
@@ -401,25 +405,19 @@ def run_sweep(spec, csi="perfect", surcharge=0.0):
     if read.keys() & {"proposed", "unquantized"}:
         for cfg in configs:
             _check_dimension_advice(cfg)
-    samples = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
-                       spec.trials, csi, surcharge, read, cands)
+    stats, at = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
+                         spec.trials, csi, surcharge, read, cands)
 
     rows = []
     for ci, (v, cfg) in enumerate(zip(spec.values, configs)):
         for mode, metric in rows_wanted:
-            if mode == "best_n":
-                n = max(cands, key=lambda c: np.mean(samples[(ci, "proposed", c, metric)]))
-                data = samples[(ci, "proposed", n, metric)]
-            else:
-                n = _n_column(mode, cfg)
-                data = samples[(ci, mode, n, metric)]
-            # user capacities pool trials x users into one sample
-            data = (np.concatenate(data) if metric == "user_capacity"
-                    else np.asarray(data, dtype=float))
+            source = "proposed" if mode == "best_n" else mode
+            n = (max(cands, key=lambda c: stats[(source, c, metric)][0][at[ci]])
+                 if mode == "best_n" else _n_column(mode, cfg))
+            mean, p05 = stats[(source, n, metric)]
             rows.append(SweepRow(sweep_var=spec.sweep_variable, value=float(v), mode=mode,
                                  csi_mode=_CSI_LABELS[csi], N=int(n), metric=metric,
-                                 mean=float(np.mean(data)),
-                                 p05=float(np.percentile(data, 5.0)),
+                                 mean=float(mean[at[ci]]), p05=float(p05[at[ci]]),
                                  trials=spec.trials, seed=base.rng_seed))
     return rows
 

@@ -98,6 +98,14 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_negative_trial_index_exits_2(self, config_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["trial", "--config", config_path, "--trial", "-1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cransim: error: trial must be a non-negative integer, got -1")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["sweep", "--output", "o.csv"], ["trial"]])
     @pytest.mark.parametrize("content, message", [
         (None, "No such file or directory"),

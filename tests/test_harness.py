@@ -90,6 +90,12 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="pilot_snr"):
             run_trial(_cfg(), csi="pilot", trial=0)
 
+    @pytest.mark.parametrize("trial", [-1, 2.5])
+    def test_rejects_bad_trial_index(self, trial):
+        with pytest.raises(ValueError, match=rf"trial must be a non-negative integer, "
+                                             rf"got {trial}"):
+            run_trial(_cfg(), trial=trial)
+
     def test_error_carries_trial_context(self, monkeypatch):
         def boom(*a, **k):
             raise ArithmeticError("synthetic failure")
@@ -165,6 +171,20 @@ class TestMiProportion:
     def test_rejects_bad_trial_counts(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             mi_proportion_sweep(_cfg(), [10.0], [2], trials)
+
+    @pytest.mark.parametrize("rho_values, n_values, empty", [
+        ([], [2], "rho_values"), ([10.0], [], "n_values")])
+    def test_rejects_empty_grid_axis(self, rho_values, n_values, empty):
+        with pytest.raises(ValueError, match=f"{empty} must be non-empty"):
+            mi_proportion_sweep(_cfg(), rho_values, n_values, 2)
+
+    def test_grid_equals_each_cell_alone(self):
+        cfg = _cfg(K=4, L=2, M=4, N=2)
+        rhos, ns = [1.0, 10.0], [1, 3]
+        table = mi_proportion_sweep(cfg, rhos, ns, trials=3)
+        for i, rho in enumerate(rhos):
+            for j, n in enumerate(ns):
+                assert table[i, j] == mi_proportion_sweep(cfg, [rho], [n], trials=3)[0, 0]
 
 
 class TestSweepSpec:
@@ -341,6 +361,21 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match=rf"trial 0 failed at fronthaul_rate=4.0 in mode "
                                                rf"'proposed' at N=2 \(csi={csi}\)$") as info:
             run_sweep(spec, csi=csi)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_failure_inside_a_key_stack_names_the_failing_value(self, monkeypatch):
+        real = harness.build_plan
+
+        def fails_at_ten(Q, H, R, rho, *a, **k):
+            if np.any(np.asarray(rho) == 10.0):
+                raise ArithmeticError("synthetic failure")
+            return real(Q, H, R, rho, *a, **k)
+        monkeypatch.setattr(harness, "build_plan", fails_at_ten)
+        spec = _spec(_cfg(pilot_snr=10.0), sweep_variable="rho", values=[1.0, 10.0, 100.0],
+                     outputs=("sum_capacity",))
+        with pytest.raises(RuntimeError, match=r"failed at rho=10.0 in mode 'proposed' "
+                                               r"at N=2 \(csi=pilot\)$") as info:
+            run_sweep(spec, csi="pilot")
         assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_design_failure_names_trial_batched_values_and_csi(self, monkeypatch):
