@@ -26,7 +26,7 @@ for label, pilot in [("perfect", "perfect"), ("30 dB", 1e3), ("20 dB", 1e2), ("1
     cfg = SystemConfig(pilot_snr=pilot, **base_fields)
     spec = SweepSpec(base=cfg, sweep_variable="fronthaul_rate", values=R_values,
                      trials=150, outputs=("sum_capacity",))
-    rows = run_sweep(spec, csi="perfect" if pilot == "perfect" else "pilot")
+    rows = run_sweep(spec)
     curves[label] = [r.mean for r in rows if r.metric == "sum_capacity"]
 
 print(f"{'R':>5} " + " ".join(f"{k:>9}" for k in curves))

@@ -4,19 +4,20 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from .compression import LLOYD_MAX_RATE_PENALTY
-from .harness import (CSI_MODES, MODES, check_csi, emit_csv, load_sweep_spec, run_sweep,
-                      run_trial)
+from .harness import (CSI_MODES, MODES, PERFECT_CSI, csi_mode, emit_csv, load_sweep_spec,
+                      run_sweep, run_trial)
 from .validation import run_validation
 
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override the master RNG seed")
     p.add_argument("--csi", choices=CSI_MODES, default=None,
-                   help="CSI mode (default: pilot when the config has a numeric pilot_snr)")
+                   help="CSI mode (default: set by pilot_snr); perfect overrides pilot_snr")
     p.add_argument("--lloyd-max", action="store_true",
                    help=f"charge {LLOYD_MAX_RATE_PENALTY} bits per quantised scalar for "
                         "fixed-rate Lloyd-Max quantisation")
@@ -51,42 +52,46 @@ def _resolved(spec, args):
     base = spec.base
     if args.seed is not None:
         base = replace(base, rng_seed=args.seed)
+    if args.csi == "perfect":
+        base = replace(base, pilot_snr=PERFECT_CSI)
     spec = replace(spec, base=base)
     if getattr(args, "trial", 0) < 0:
         raise ValueError(f"trial must be a non-negative integer, got {args.trial}")
     if getattr(args, "trials", None) is not None:
         spec = replace(spec, trials=args.trials)
-    csi = args.csi
-    if csi is None:
-        csi = "perfect" if isinstance(base.pilot_snr, str) else "pilot"
-    check_csi(csi, spec.configs() if args.command == "sweep" else [base])
-    surcharge = LLOYD_MAX_RATE_PENALTY if args.lloyd_max else 0.0
-    return spec, csi, surcharge
+    runs = spec.configs() if args.command == "sweep" else [base]
+    if args.csi is not None and any(csi_mode(cfg.pilot_snr) != args.csi for cfg in runs):
+        raise ValueError(f"csi mode '{args.csi}' requires "
+                         + ("a numeric pilot_snr in the config" if args.csi == "pilot"
+                            else "pilot_snr 'perfect', which a pilot_snr sweep replaces"))
+    if args.command == "sweep":
+        out = Path(args.output)
+        if out.is_dir() or not out.parent.is_dir():
+            raise ValueError(f"--output must be a file in an existing directory, got {str(out)!r}")
+    return spec, LLOYD_MAX_RATE_PENALTY if args.lloyd_max else 0.0
 
 
-def _cmd_sweep(args, spec, csi, surcharge):
-    rows = run_sweep(spec, csi=csi, surcharge=surcharge)
+def _cmd_sweep(args, spec, surcharge):
+    rows = run_sweep(spec, surcharge=surcharge)
     emit_csv(rows, args.output)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
 
-def _cmd_trial(args, spec, csi, surcharge):
+def _cmd_trial(args, spec, surcharge):
     cfg = spec.base
-    record = run_trial(cfg, mode=args.mode, csi=csi, trial=args.trial,
-                       surcharge=surcharge, details=True)
+    record = run_trial(cfg, mode=args.mode, trial=args.trial, surcharge=surcharge)
 
     print(f"mode={args.mode} csi={record.csi_mode} trial={args.trial} seed={cfg.rng_seed}")
     print(f"K={cfg.K} L={cfg.L} M={cfg.M} N={cfg.N} rho={cfg.rho:.6g} "
           f"R={cfg.fronthaul_rate:.6g} pilot_snr={cfg.pilot_snr}")
-    det = record.details or {}
-    sel = det.get("selection")
+    sel = record.selection
     if sel is not None:
         for l, users in enumerate(sel.S):
             print(f"receiver {l}: selected users {users}")
         traj = np.array2string(sel.mi_trajectory, precision=4, separator=", ")
         print(f"mutual-information trajectory (bits): {traj}")
-    plan = det.get("plan")
+    plan = record.plan
     if plan is not None:
         for l in range(len(plan.G)):
             lam = np.array2string(plan.lam[l], precision=4, separator=", ")
@@ -123,11 +128,11 @@ def main(argv=None):
     if args.command == "validate":
         return _cmd_validate(args)
     try:
-        spec, csi, surcharge = _resolved(load_sweep_spec(args.config), args)
+        spec, surcharge = _resolved(load_sweep_spec(args.config), args)
     except (OSError, ValueError) as exc:    # json.JSONDecodeError is a ValueError
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     command = _cmd_sweep if args.command == "sweep" else _cmd_trial
-    return command(args, spec, csi, surcharge)
+    return command(args, spec, surcharge)
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capacity as cap
-from .compression import build_plan
+from .compression import CompressionPlan, build_plan
 from .csi import estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
 from .linalg import adjoint
-from .scenario import PERFECT_CSI, SystemConfig, generate_realization, is_integer
+from .scenario import PERFECT_CSI, SystemConfig, generate_realization, is_integer, is_real
 
 CONFIG_SCHEMA = "cransim-sweep-v1"
 
@@ -75,6 +75,8 @@ class SweepSpec:
             raise ValueError(f"sweep_variable must be one of {SWEEP_VARIABLES}")
         if len(self.values) == 0:
             raise ValueError("values must be non-empty")
+        if not all(map(is_real, self.values)):
+            raise ValueError(f"sweep values must be real numbers, got {self.values!r}")
         if not is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         unknown = set(self.outputs) - set(OUTPUTS)
@@ -103,7 +105,8 @@ class TrialRecord:
     mode: str
     csi_mode: str
     metrics: dict
-    details: dict | None = None
+    selection: DimensionReductionResult | None = None
+    plan: CompressionPlan | None = None
 
 
 @dataclass
@@ -139,12 +142,9 @@ def _check_dimension_advice(config):
             stacklevel=3)
 
 
-def check_csi(csi, configs):
-    """CSI configuration errors, raised as ValueError before any trial runs."""
-    if csi not in CSI_MODES:
-        raise ValueError(f"csi must be one of {CSI_MODES}")
-    if csi == "pilot" and any(isinstance(cfg.pilot_snr, str) for cfg in configs):
-        raise ValueError("csi mode 'pilot' requires a numeric pilot_snr in the config")
+def csi_mode(pilot_snr):
+    """The CSI mode a pilot_snr selects: "perfect" for "perfect", "pilot" for a number."""
+    return "perfect" if pilot_snr == PERFECT_CSI else "pilot"
 
 
 @dataclass
@@ -170,13 +170,8 @@ class _Design:
     baseline_Q: np.ndarray | None = None
 
 
-def _csi_key(config, csi):
-    """The (pilot_snr, rho) CSI state a config's design depends on."""
-    return (config.pilot_snr if csi == "pilot" else PERFECT_CSI, config.rho)
-
-
-def _designs(channels, keys, csi, seed, trial, nmax, baseline):
-    """The _Design of the _csi_key(s) `keys` of realization `trial`, built in one batched pass.
+def _designs(channels, keys, seed, trial, nmax, baseline):
+    """The _Design of one CSI mode's (pilot_snr, rho) key(s) `keys` in realization `trial`.
 
     Estimation (from the trial's lane-1 pilot noise), whitening, selection
     and the full MI each run once over the stack of keys, and the cut-set MI
@@ -184,7 +179,7 @@ def _designs(channels, keys, csi, seed, trial, nmax, baseline):
     """
     pilot, rho = map(np.array, zip(*keys) if isinstance(keys, list) else keys)
     rho, extra = rho.astype(float), {}
-    if csi == "pilot":
+    if csi_mode(pilot.flat[0]) == "pilot":
         model = estimate_channels(channels, pilot, trial_stream(seed, trial, 1))
         H, omega = whiten(model, rho)
         full_mi = full_joint_mi(H, rho)
@@ -248,20 +243,19 @@ def _evaluate(design, keys, mode, n, R, wanted, surcharge):
             for m, v in out.items() if m in wanted}, plan
 
 
-def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
-              details=False):
+def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
     """Run the full pipeline for one realization and one mode.
 
     The realization is reproduced from (config.rng_seed, trial), so calling
     with different modes but the same trial index evaluates the same channels.
     It is the sweep kernel's batch of one: a single key and a scalar rate,
-    so the "selection" and "plan" that details=True keeps are unstacked.
+    so its selection and plan are unstacked (None in a mode that has none).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if not is_integer(trial) or trial < 0:
         raise ValueError(f"trial must be a non-negative integer, got {trial!r}")
-    check_csi(csi, [config])
+    csi = csi_mode(config.pilot_snr)
     selects = mode in ("proposed", "unquantized")
     if selects:
         _check_dimension_advice(config)
@@ -269,21 +263,18 @@ def run_trial(config, mode="proposed", csi="perfect", trial=0, surcharge=0.0,
     n = _n_column(mode, config)
     wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS
     try:
-        design = _designs(channels, _csi_key(config, csi), csi, config.rng_seed, trial,
+        design = _designs(channels, (config.pilot_snr, config.rho), config.rng_seed, trial,
                           n if selects else 0, mode == "local_baseline")
         metrics, plan = _evaluate(design, ..., mode, n, config.fronthaul_rate, wanted,
                                   surcharge)
     except Exception as exc:
         raise RuntimeError(f"trial {trial} failed in mode '{mode}' (csi={csi})") from exc
-    det = None
-    if details and mode != "cutset":
-        det = {"selection": design.selection, "plan": plan}
     return TrialRecord(trial=trial, seed=config.rng_seed, config=config, mode=mode,
                        csi_mode=_CSI_LABELS[csi], metrics={m: v[()] for m, v in metrics.items()},
-                       details=det)
+                       selection=design.selection, plan=plan)
 
 
-def best_dimension(config, R, n_candidates, trials, csi="perfect", surcharge=0.0):
+def best_dimension(config, R, n_candidates, trials, surcharge=0.0):
     """Pick the reduced dimension maximising mean sum capacity at fronthaul rate R.
 
     A view of run_sweep's best_n output on the single value R. Returns
@@ -291,7 +282,7 @@ def best_dimension(config, R, n_candidates, trials, csi="perfect", surcharge=0.0
     """
     spec = SweepSpec(base=config, sweep_variable="fronthaul_rate", values=[R],
                      trials=trials, outputs=("best_n",), n_candidates=tuple(n_candidates))
-    (row,) = run_sweep(spec, csi=csi, surcharge=surcharge)
+    (row,) = run_sweep(spec, surcharge=surcharge)
     return row.N, row.mean
 
 
@@ -299,9 +290,9 @@ def mi_proportion_sweep(config, rho_values, n_values, trials):
     """Mean captured proportion of the full-dimension MI, over an (SNR, N) grid.
 
     Returns an array of shape (len(rho_values), len(n_values)) with
-    E[reduced MI / full MI] under perfect CSI. The grid is one batch of the
-    sweep kernel: each trial draws its channels once, and one greedy run per
-    (trial, SNR) serves every N.
+    E[reduced MI / full MI] under the config's CSI mode. The grid is one batch
+    of the sweep kernel: each trial draws its channels once, and one greedy
+    run per (trial, SNR) serves every N.
     """
     for name, values in (("rho_values", rho_values), ("n_values", n_values)):
         if len(values) == 0:
@@ -311,13 +302,13 @@ def mi_proportion_sweep(config, rho_values, n_values, trials):
     grid = [(rho, n) for rho in rho_values for n in n_values]
     configs = [replace(config, rho=rho, N=n) for rho, n in grid]
     stats, at = _collect(config, configs, [f"rho={rho}, N={n}" for rho, n in grid],
-                         trials, "perfect", 0.0, {"unquantized": {"mi_proportion"}}, [])
+                         trials, 0.0, {"unquantized": {"mi_proportion"}}, [])
     means = [stats[("unquantized", n, "mi_proportion")][0][at[i]]
              for i, (_, n) in enumerate(grid)]
     return np.reshape(means, (len(rho_values), len(n_values)))
 
 
-def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
+def _collect(base, configs, labels, trials, surcharge, read, cands):
     """Trial statistics of every evaluation the configs need.
 
     read maps each mode to the metrics its rows read; each best-N candidate
@@ -325,20 +316,22 @@ def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
     builds a design for each distinct SNR and CSI state, and each (mode, n)
     group runs one stacked _evaluate over all the configs' fronthaul rates and
     CSI keys. That wastes no cell because every caller's configs form a
-    product grid over (rate, key, N): a one-variable sweep, or the (rho, N)
-    grid of mi_proportion_sweep. Returns (stats, at): stats maps (mode, n,
-    metric) to (mean, p05) arrays over trials of shape (rates, keys), user
-    capacities pooling trials x users, and config i reads cell at[i]. A
-    failure is re-raised as a RuntimeError naming the trial, the labels of the
-    configs in the failing step (all of them for the design step; in a failing
-    group, the member that fails alone at its rate and key), the mode and the
-    CSI mode.
+    product grid over (rate, key, N) in one CSI mode: a one-variable sweep of
+    real values, or the (rho, N) grid of mi_proportion_sweep. Returns (stats,
+    at): stats maps (mode, n, metric) to (mean, p05) arrays over trials of
+    shape (rates, keys), user capacities pooling trials x users, and config i
+    reads cell at[i]. A failure is re-raised as a RuntimeError naming the
+    trial, the labels of the configs in the failing step (all of them for the
+    design step; in a failing group, the member that fails alone at its rate
+    and key), the mode and the CSI mode.
     """
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
     nmax = max(dims + cands, default=0)
-    keys = list(dict.fromkeys(_csi_key(cfg, csi) for cfg in configs))
+    csi = csi_mode(configs[0].pilot_snr)
+    keys = list(dict.fromkeys((cfg.pilot_snr, cfg.rho) for cfg in configs))
     rates = list(dict.fromkeys(cfg.fronthaul_rate for cfg in configs))
-    at = [(rates.index(cfg.fronthaul_rate), keys.index(_csi_key(cfg, csi))) for cfg in configs]
+    at = [(rates.index(cfg.fronthaul_rate), keys.index((cfg.pilot_snr, cfg.rho)))
+          for cfg in configs]
 
     # (mode, n) -> (metrics, member config indices); proposed at N doubles as candidate N
     groups = {}
@@ -353,7 +346,7 @@ def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
     for trial in range(trials):
         channels = generate_realization(base, trial_stream(base.rng_seed, trial, 0))
         try:
-            design = _designs(channels, keys, csi, base.rng_seed, trial, nmax,
+            design = _designs(channels, keys, base.rng_seed, trial, nmax,
                               "local_baseline" in read)
         except Exception as exc:
             raise RuntimeError(f"trial {trial} failed at {', '.join(labels)} in the design "
@@ -383,19 +376,19 @@ def _collect(base, configs, labels, trials, csi, surcharge, read, cands):
     return stats, at
 
 
-def run_sweep(spec, csi="perfect", surcharge=0.0):
+def run_sweep(spec, surcharge=0.0):
     """Run a full Monte-Carlo sweep and aggregate it into CSV-ready rows.
 
     Trials are paired: every sweep value and mode sees the same channel draws
     (and the same pilot noise under pilot CSI). One greedy selection per trial
     and SNR/CSI state, at the largest dimension any row needs, serves every
     value, mode and best-N candidate through the prefix property, so results
-    do not depend on which values share a sweep. A failure is re-raised as a
-    RuntimeError naming the trial, sweep value, mode and CSI mode.
+    do not depend on which values share a sweep; pilot_snr sets the CSI mode. A
+    failure is re-raised as a RuntimeError naming the trial, sweep value, mode
+    and CSI mode.
     """
     base = spec.base
     configs = spec.configs()
-    check_csi(csi, configs)
     rows_wanted = [row for output in spec.outputs for row in _OUTPUT_ROWS[output]]
     cands = sorted({int(n) for n in spec.n_candidates}) if "best_n" in spec.outputs else []
     read = {}   # mode -> metrics its rows read
@@ -406,7 +399,7 @@ def run_sweep(spec, csi="perfect", surcharge=0.0):
         for cfg in configs:
             _check_dimension_advice(cfg)
     stats, at = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
-                         spec.trials, csi, surcharge, read, cands)
+                         spec.trials, surcharge, read, cands)
 
     rows = []
     for ci, (v, cfg) in enumerate(zip(spec.values, configs)):
@@ -416,9 +409,10 @@ def run_sweep(spec, csi="perfect", surcharge=0.0):
                  if mode == "best_n" else _n_column(mode, cfg))
             mean, p05 = stats[(source, n, metric)]
             rows.append(SweepRow(sweep_var=spec.sweep_variable, value=float(v), mode=mode,
-                                 csi_mode=_CSI_LABELS[csi], N=int(n), metric=metric,
-                                 mean=float(mean[at[ci]]), p05=float(p05[at[ci]]),
-                                 trials=spec.trials, seed=base.rng_seed))
+                                 csi_mode=_CSI_LABELS[csi_mode(cfg.pilot_snr)], N=int(n),
+                                 metric=metric, mean=float(mean[at[ci]]),
+                                 p05=float(p05[at[ci]]), trials=spec.trials,
+                                 seed=base.rng_seed))
     return rows
 
 
@@ -480,7 +474,10 @@ def sweep_spec_from_dict(data):
         if db_key in system:
             if lin_key in system:
                 raise ValueError(f"give either {db_key} or {lin_key}, not both")
-            system[lin_key] = 10.0 ** (system.pop(db_key) / 10.0)
+            value = system.pop(db_key)
+            if not is_real(value):
+                raise ValueError(f"{db_key} must be a real number, got {value!r}")
+            system[lin_key] = 10.0 ** (value / 10.0)
     valid_fields = set(SystemConfig.__dataclass_fields__)
     unknown = set(system) - valid_fields
     if unknown:

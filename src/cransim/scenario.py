@@ -22,6 +22,11 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value):
+    """True for Python and numpy real numbers, False for bool and everything else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SystemConfig:
     """Scalar parameters of one simulated uplink deployment.
@@ -61,21 +66,23 @@ class SystemConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("rho", "area_side_m", "user_height_m", "rx_height_m",
                      "pathloss_exponent", "shadow_sigma_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.K < 1 or self.L < 1 or self.M < 1:
             raise ValueError("K, L, M must be positive integers")
         if not 1 <= self.N <= self.max_components:
             raise ValueError(f"N must satisfy 1 <= N <= min(M, K) = {self.max_components}")
         if self.rho <= 0:
             raise ValueError("rho must be a positive linear SNR")
-        if not self.fronthaul_rate >= 0:       # NaN fails; inf is the unquantized limit
-            raise ValueError("fronthaul_rate must be >= 0 (inf for no quantisation)")
-        if isinstance(self.pilot_snr, str):
-            if self.pilot_snr != PERFECT_CSI:
-                raise ValueError(f"pilot_snr must be a positive number or '{PERFECT_CSI}'")
-        elif not (math.isfinite(self.pilot_snr) and self.pilot_snr > 0):
-            raise ValueError("pilot_snr must be finite and > 0 (or 'perfect')")
+        # NaN fails; inf is the unquantized limit
+        if not (is_real(self.fronthaul_rate) and self.fronthaul_rate >= 0):
+            raise ValueError("fronthaul_rate must be a real number >= 0 (inf for no "
+                             f"quantisation), got {self.fronthaul_rate!r}")
+        if self.pilot_snr != PERFECT_CSI and not (
+                is_real(self.pilot_snr) and math.isfinite(self.pilot_snr) and self.pilot_snr > 0):
+            raise ValueError(f"pilot_snr must be a finite number > 0 or '{PERFECT_CSI}', "
+                             f"got {self.pilot_snr!r}")
         if self.area_side_m <= 0 or self.user_height_m < 0 or self.rx_height_m < 0:
             raise ValueError("geometry parameters must be non-negative (area side positive)")
         if self.shadow_sigma_db < 0:

@@ -23,19 +23,19 @@ BASE = SystemConfig(K=8, L=4, M=8, N=2, rho=10.0 ** 1.5, fronthaul_rate=8.0, rng
 PILOT = replace(BASE, pilot_snr=10.0, rng_seed=23)
 CANDIDATES = (1, 2, 3, 4, 6, 8)
 
-# name -> (spec, csi, surcharge)
+# name -> (spec, surcharge); each config's pilot_snr sets its CSI mode
 SWEEPS = {
     "rate_sweep": (SweepSpec(BASE, "fronthaul_rate", [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-                             trials=3, n_candidates=CANDIDATES), "perfect", 0.0),
+                             trials=3, n_candidates=CANDIDATES), 0.0),
     "rate_sweep_lloyd_max": (SweepSpec(BASE, "fronthaul_rate", [1.0, 4.0, 8.0, 16.0, 32.0],
                                        trials=3, n_candidates=CANDIDATES),
-                             "perfect", LLOYD_MAX_RATE_PENALTY),
+                             LLOYD_MAX_RATE_PENALTY),
     "n_sweep_pilot": (SweepSpec(PILOT, "N", [1, 2, 4, 8], trials=3,
-                                n_candidates=(2, 3)), "pilot", 0.0),
+                                n_candidates=(2, 3)), 0.0),
     "rho_sweep_pilot": (SweepSpec(PILOT, "rho", [1.0, 10.0, 100.0, 1000.0], trials=3,
-                                  n_candidates=(1, 2, 4)), "pilot", 0.0),
+                                  n_candidates=(1, 2, 4)), 0.0),
     "pilot_snr_sweep": (SweepSpec(PILOT, "pilot_snr", [1.0, 10.0, 100.0, 1000.0],
-                                  trials=4), "pilot", 0.0),
+                                  trials=4), 0.0),
 }
 
 
@@ -47,7 +47,7 @@ def compute_views():
     """best_dimension, mi_proportion_sweep and run_trial results as a JSON-ready dict."""
     best = {
         "perfect": best_dimension(BASE, 4.0, CANDIDATES, trials=4),
-        "pilot": best_dimension(PILOT, 4.0, CANDIDATES, trials=4, csi="pilot"),
+        "pilot": best_dimension(PILOT, 4.0, CANDIDATES, trials=4),
         "lloyd_max": best_dimension(BASE, 16.0, CANDIDATES, trials=4,
                                     surcharge=LLOYD_MAX_RATE_PENALTY),
     }
@@ -56,7 +56,7 @@ def compute_views():
     trials = {}
     for csi, cfg in (("perfect", BASE), ("pilot", PILOT)):
         for mode in MODES:
-            metrics = run_trial(cfg, mode=mode, csi=csi, trial=2).metrics
+            metrics = run_trial(cfg, mode=mode, trial=2).metrics
             trials[f"{mode}/{csi}"] = {k: _plain(v) for k, v in sorted(metrics.items())}
     return {
         "best_dimension": {k: [int(n), float(c)] for k, (n, c) in best.items()},
@@ -66,8 +66,8 @@ def compute_views():
 
 
 def compute_sweep(name):
-    spec, csi, surcharge = SWEEPS[name]
-    return run_sweep(spec, csi=csi, surcharge=surcharge)
+    spec, surcharge = SWEEPS[name]
+    return run_sweep(spec, surcharge=surcharge)
 
 
 def main():

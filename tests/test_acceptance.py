@@ -269,15 +269,15 @@ def test_criterion_09_imperfect_csi_trends():
     R_values = [2.0, 4.0, 8.0, 16.0]
     trials = 200
 
-    def curve(pilot_snr, csi):
+    def curve(pilot_snr):
         cfg = SystemConfig(pilot_snr=pilot_snr, **base)
         spec = SweepSpec(base=cfg, sweep_variable="fronthaul_rate", values=R_values,
                          trials=trials, outputs=("sum_capacity",))
-        rows = run_sweep(spec, csi=csi)
+        rows = run_sweep(spec)
         return np.array([r.mean for r in rows if r.metric == "sum_capacity"])
 
-    perfect = curve("perfect", "perfect")
-    bound = {db: curve(10.0 ** (db / 10.0), "pilot") for db in (30, 20, 10)}
+    perfect = curve("perfect")
+    bound = {db: curve(10.0 ** (db / 10.0)) for db in (30, 20, 10)}
 
     gap30 = np.max(np.abs(bound[30] - perfect) / perfect)
     ordered = bool(np.all(bound[30] >= bound[20] - 1e-9)

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from cransim import cli
 from cransim.cli import main
 from cransim.harness import CONFIG_SCHEMA, read_csv
 
@@ -46,6 +48,17 @@ class TestSweepCommand:
         out = tmp_path / "auto.csv"
         main(["sweep", "--config", config_path, "--output", str(out)])
         assert all(r.csi_mode == "lower-bound" for r in read_csv(out))
+
+    def test_csi_perfect_overrides_numeric_pilot_snr(self, config_path, tmp_path):
+        data = json.loads(Path(config_path).read_text())
+        data["system"]["pilot_snr"] = "perfect"
+        twin = tmp_path / "perfect.json"
+        twin.write_text(json.dumps(data))
+        a, b = tmp_path / "override.csv", tmp_path / "twin.csv"
+        main(["sweep", "--config", config_path, "--output", str(a), "--csi", "perfect"])
+        main(["sweep", "--config", str(twin), "--output", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+        assert all(r.csi_mode == "perfect" for r in read_csv(a))
 
     def test_lloyd_max_surcharge_costs_capacity(self, config_path, tmp_path):
         a, b = tmp_path / "plain.csv", tmp_path / "lm.csv"
@@ -98,6 +111,32 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("output", ["missing/o.csv", "."])
+    def test_bad_output_path_exits_2_before_any_trial(self, config_path, tmp_path, capsys,
+                                                      monkeypatch, output):
+        def no_sweep(*a, **k):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", config_path, "--output", str(tmp_path / output)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cransim: error: --output must be a file in an existing "
+                              "directory")
+        assert "Traceback" not in err
+
+    def test_csi_perfect_on_pilot_snr_sweep_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema": CONFIG_SCHEMA, "system": {"pilot_snr": 10.0},
+                                    "sweep": {"variable": "pilot_snr", "values": [1.0, 10.0]}}))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(path), "--output", str(tmp_path / "o.csv"),
+                  "--csi", "perfect"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cransim: error: csi mode 'perfect' requires pilot_snr 'perfect'")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_negative_trial_index_exits_2(self, config_path, capsys):
         with pytest.raises(SystemExit) as info:
             main(["trial", "--config", config_path, "--trial", "-1"])
@@ -128,6 +167,11 @@ class TestConfigErrors:
         ([{"schema": CONFIG_SCHEMA}], [], "config must be a JSON object, got list"),
         ({"schema": CONFIG_SCHEMA, "sweep": {"values": 3}}, [],
          "sweep values must be a list, got 3"),
+        ({"schema": CONFIG_SCHEMA, "system": {"rho": "x"}, "sweep": {"values": [1.0]}}, [],
+         "rho must be a finite real number, got 'x'"),
+        ({"schema": CONFIG_SCHEMA, "sweep": {"variable": "pilot_snr",
+                                             "values": [10.0, "perfect"]}}, [],
+         "sweep values must be real numbers"),
     ])
     def test_bad_config_content_exits_2(self, tmp_path, capsys, command, config, extra,
                                         message):

@@ -25,13 +25,17 @@ def _spec(cfg=None, **kw):
     return SweepSpec(base=cfg or _cfg(), **base)
 
 
+# pilot_snr of each CSI mode, for tests parametrized by mode
+PILOT_SNR = {"perfect": "perfect", "pilot": 10.0}
+
+
 def _assert_batch_independent(variable, values, csi, surcharge):
     """Rows of a sweep equal, exactly, the rows of its values swept one at a time."""
-    cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=10.0)
+    cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=PILOT_SNR[csi])
 
     def sweep(vals):
         return run_sweep(_spec(cfg, sweep_variable=variable, values=vals, trials=3,
-                               outputs=None, n_candidates=(1, 3)), csi=csi, surcharge=surcharge)
+                               outputs=None, n_candidates=(1, 3)), surcharge=surcharge)
 
     singles = {v: sweep([v]) for v in values}
     for order in (values, values[::-1]):
@@ -71,11 +75,16 @@ class TestRunTrial:
         assert a["sum_capacity"] == b["sum_capacity"]
         assert np.array_equal(a["user_capacity"], b["user_capacity"])
 
-    def test_details_payload(self):
-        rec = run_trial(_cfg(), trial=0, details=True)
-        assert rec.details.keys() == {"selection", "plan"}
-        assert rec.details["selection"].mi_trajectory.shape == (2 * 3,)
-        assert len(rec.details["plan"].G) == 3
+    @pytest.mark.parametrize("mode, has_selection, has_plan", [
+        ("proposed", True, True), ("local_baseline", False, True),
+        ("unquantized", True, False), ("cutset", False, False)])
+    def test_record_keeps_selection_and_plan(self, mode, has_selection, has_plan):
+        rec = run_trial(_cfg(), mode=mode, trial=0)
+        assert (rec.selection is not None, rec.plan is not None) == (has_selection, has_plan)
+        if has_selection:
+            assert rec.selection.mi_trajectory.shape == (2 * 3,)
+        if has_plan:
+            assert len(rec.plan.G) == 3
 
     def test_low_dimension_warning(self):
         cfg = _cfg(K=6, L=1, M=6, N=2)   # ceil(K/L) = 6 > N
@@ -86,9 +95,13 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(_cfg(), mode="magic", trial=0)
 
-    def test_pilot_csi_requires_numeric_pilot_snr(self):
-        with pytest.raises(ValueError, match="pilot_snr"):
-            run_trial(_cfg(), csi="pilot", trial=0)
+    def test_csi_mode_follows_pilot_snr(self):
+        assert run_trial(_cfg(), trial=0).csi_mode == "perfect"
+        assert run_trial(_cfg(pilot_snr=10.0), trial=0).csi_mode == "lower-bound"
+        with pytest.raises(TypeError, match="csi"):
+            run_trial(_cfg(pilot_snr=10.0), csi="pilot", trial=0)
+        with pytest.raises(TypeError, match="details"):
+            run_trial(_cfg(), trial=0, details=True)
 
     @pytest.mark.parametrize("trial", [-1, 2.5])
     def test_rejects_bad_trial_index(self, trial):
@@ -105,10 +118,10 @@ class TestRunTrial:
 
     def test_high_pilot_snr_converges_to_perfect_pipeline(self):
         cfg = _cfg(K=8, L=4, M=8, N=2, pilot_snr=1e6)
-        perfect = run_trial(cfg, csi="perfect", trial=2, details=True)
-        pilot = run_trial(cfg, csi="pilot", trial=2, details=True)
+        perfect = run_trial(replace(cfg, pilot_snr="perfect"), trial=2)
+        pilot = run_trial(cfg, trial=2)
         assert pilot.csi_mode == "lower-bound"
-        assert pilot.details["selection"].S == perfect.details["selection"].S
+        assert pilot.selection.S == perfect.selection.S
         assert abs(pilot.metrics["sum_capacity"]
                    - perfect.metrics["sum_capacity"]) < 1e-2
 
@@ -116,8 +129,9 @@ class TestRunTrial:
         cfg = _cfg(K=6, L=3, M=4, N=2, pilot_snr=5.0)
         diffs = []
         for t in range(100):
-            perfect = run_trial(cfg, csi="perfect", trial=t).metrics["sum_capacity"]
-            bound = run_trial(cfg, csi="pilot", trial=t).metrics["sum_capacity"]
+            perfect = run_trial(replace(cfg, pilot_snr="perfect"),
+                                trial=t).metrics["sum_capacity"]
+            bound = run_trial(cfg, trial=t).metrics["sum_capacity"]
             diffs.append(perfect - bound)
         assert np.mean(diffs) > 0
 
@@ -178,6 +192,19 @@ class TestMiProportion:
         with pytest.raises(ValueError, match=f"{empty} must be non-empty"):
             mi_proportion_sweep(_cfg(), rho_values, n_values, 2)
 
+    def test_follows_the_configs_csi_mode(self):
+        # each row of the table is the unquantized N sweep of run_sweep at that rho
+        cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=10.0)
+        rhos, ns = [1.0, 100.0], [2, 3]
+        table = mi_proportion_sweep(cfg, rhos, ns, trials=3)
+        for i, rho in enumerate(rhos):
+            rows = run_sweep(_spec(replace(cfg, rho=rho), sweep_variable="N", values=ns,
+                                   trials=3, outputs=("mi_proportion",)))
+            assert list(table[i]) == [r.mean for r in rows if r.metric == "mi_proportion"]
+            assert all(r.csi_mode == "lower-bound" for r in rows)
+        perfect = mi_proportion_sweep(replace(cfg, pilot_snr="perfect"), rhos, ns, trials=3)
+        assert not np.any(table == perfect)
+
     def test_grid_equals_each_cell_alone(self):
         cfg = _cfg(K=4, L=2, M=4, N=2)
         rhos, ns = [1.0, 10.0], [1, 3]
@@ -210,6 +237,10 @@ class TestSweepSpec:
             with pytest.raises(ValueError, match="n_candidates"):
                 _spec(outputs=("best_n",), n_candidates=bad)
         assert _spec(trials=np.int64(3), n_candidates=(np.int64(2),)).trials == 3
+        for bad in (["perfect"], [10.0, "perfect"], [True], ["a"], [None]):
+            with pytest.raises(ValueError, match="sweep values must be real numbers"):
+                _spec(sweep_variable="pilot_snr", values=bad)
+        assert _spec(sweep_variable="pilot_snr", values=[np.float64(3.0), 10]).values
 
     def test_from_dict_roundtrip(self):
         data = {
@@ -241,6 +272,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="n_candidates"):
             sweep_spec_from_dict({**good, "sweep": {"values": [1.0], "outputs": ["best_n"],
                                                     "n_candidates": [2.7, True]}})
+        for key in ("rho_db", "pilot_snr_db"):
+            with pytest.raises(ValueError, match=f"{key} must be a real number, got 'abc'"):
+                sweep_spec_from_dict({**good, "system": {key: "abc"}})
+        with pytest.raises(ValueError, match="sweep values must be real numbers"):
+            sweep_spec_from_dict({**good, "sweep": {"values": ["a"]}})
         with pytest.raises(ValueError, match="config must be a JSON object"):
             sweep_spec_from_dict([good])
         for section in ("system", "sweep"):
@@ -313,14 +349,19 @@ class TestRunSweep:
         cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=10.0)
         spec = _spec(cfg, sweep_variable="pilot_snr", values=[1.0, 1000.0],
                      outputs=("sum_capacity",), trials=3)
-        rows = run_sweep(spec, csi="pilot")
+        rows = run_sweep(spec)
         assert all(r.csi_mode == "lower-bound" for r in rows)
         by_value = {r.value: r.mean for r in rows if r.metric == "sum_capacity"}
         assert by_value[1000.0] >= by_value[1.0]
 
-    def test_pilot_requires_numeric_pilot_snr(self):
-        with pytest.raises(ValueError, match="pilot_snr"):
-            run_sweep(_spec(), csi="pilot")
+    def test_csi_mode_follows_pilot_snr(self):
+        assert {r.csi_mode for r in run_sweep(_spec(trials=1))} == {"perfect"}
+        assert {r.csi_mode for r in run_sweep(_spec(_cfg(pilot_snr=10.0), trials=1))} == {
+            "lower-bound"}
+        with pytest.raises(TypeError, match="csi"):
+            run_sweep(_spec(_cfg(pilot_snr=10.0)), csi="pilot")
+        with pytest.raises(TypeError, match="csi"):
+            best_dimension(_cfg(), R=4.0, n_candidates=[1, 2], trials=1, csi="perfect")
 
     @pytest.mark.parametrize("variable, values, csi", [
         ("N", [1, 2, 4], "perfect"),               # one selection at max N serves all
@@ -357,10 +398,11 @@ class TestRunSweep:
                 raise ArithmeticError("synthetic failure")
             return real(Q, H, R, *a, **k)
         monkeypatch.setattr(harness, "build_plan", fails_at_four)
-        spec = _spec(_cfg(pilot_snr=10.0), values=[1.0, 4.0, 16.0], outputs=("sum_capacity",))
+        spec = _spec(_cfg(pilot_snr=PILOT_SNR[csi]), values=[1.0, 4.0, 16.0],
+                     outputs=("sum_capacity",))
         with pytest.raises(RuntimeError, match=rf"trial 0 failed at fronthaul_rate=4.0 in mode "
                                                rf"'proposed' at N=2 \(csi={csi}\)$") as info:
-            run_sweep(spec, csi=csi)
+            run_sweep(spec)
         assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_failure_inside_a_key_stack_names_the_failing_value(self, monkeypatch):
@@ -375,7 +417,7 @@ class TestRunSweep:
                      outputs=("sum_capacity",))
         with pytest.raises(RuntimeError, match=r"failed at rho=10.0 in mode 'proposed' "
                                                r"at N=2 \(csi=pilot\)$") as info:
-            run_sweep(spec, csi="pilot")
+            run_sweep(spec)
         assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_design_failure_names_trial_batched_values_and_csi(self, monkeypatch):
@@ -386,7 +428,7 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match=r"trial 0 failed at pilot_snr=1.0, "
                                                r"pilot_snr=100.0 in the design step "
                                                r"\(csi=pilot\)") as info:
-            run_sweep(spec, csi="pilot")
+            run_sweep(spec)
         assert isinstance(info.value.__cause__, ArithmeticError)
 
 

@@ -29,6 +29,8 @@ class TestSystemConfig:
         dict(pathloss_exponent=float("nan")), dict(shadow_sigma_db=float("inf")),
         dict(K=True, N=1), dict(L=True), dict(M=True, N=1), dict(N=True), dict(rng_seed=False),
         dict(N=2.0), dict(rng_seed=1.5),
+        dict(rho="x"), dict(pilot_snr=None), dict(fronthaul_rate="8"),
+        dict(shadow_sigma_db=[1]), dict(rho=True), dict(fronthaul_rate=False),
     ])
     def test_invalid_fields_raise(self, kw):
         with pytest.raises(ValueError):
