@@ -11,7 +11,7 @@ from cransim.harness import trial_stream
 cfg = SystemConfig(K=8, L=4, M=8, N=2, rng_seed=42)
 rng = trial_stream(cfg.rng_seed, trial=0)
 
-geometry, beta = generate_geometry(cfg, rng)
+_, beta = generate_geometry(cfg, rng)
 print(f"{cfg.K} users and {cfg.L} receivers on a {cfg.area_side_m:.0f} m square")
 print(f"large-scale gain spread: {10 * np.log10(beta.max() / beta.min()):.1f} dB "
       f"across the {cfg.L}x{cfg.K} links")
@@ -21,7 +21,7 @@ print(f"power control coefficients p_k (linear): {np.round(p, 3)}")
 print(f"normalization p_k * mean_l beta_lk (should be 1): "
       f"{np.round(p * beta.mean(axis=0), 12)}")
 
-channels = generate_channels(cfg, beta, p, rng, positions=geometry)
+channels = generate_channels(cfg, beta, p, rng)
 print(f"\nchannel matrices: {len(channels.H)} receivers x {channels.H[0].shape}")
 
 # empirical check of the per-antenna variance contract over fresh draws

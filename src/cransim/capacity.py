@@ -1,11 +1,11 @@
 """Capacity metrics: optimal and LMMSE detection, references and bounds.
 
 Equivalent channels G (L, n, K) and quantisation-noise diagonals Phi (L, n)
-come stacked over receivers, as in CompressionPlan; a single receiver's
-(n, K) and (n,) work too. Phi = inf marks a dropped component, whose
-detection weight 1 / (Phi + 1) is exactly 0, so no row filtering is needed.
-Stacks of detection problems put their axes in front, G (..., L, n, K) and
-Phi (..., L, n), which broadcast against each other and against rho.
+always come stacked over receivers, as in CompressionPlan. Phi = inf marks
+a dropped component, whose detection weight 1 / (Phi + 1) is exactly 0, so
+no row filtering is needed. Stacks of detection problems put their axes in
+front, G (..., L, n, K) and Phi (..., L, n), which broadcast against each
+other and against rho.
 """
 
 from dataclasses import dataclass
@@ -36,9 +36,6 @@ class CapacityReport:
 
 def _detection_matrix(G, phi, rho):
     """I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l, one (L*n, K) product per stack element."""
-    G = np.asarray(G)
-    if G.ndim == 2:     # a single receiver
-        G, phi = G[None], np.asarray(phi)[None]
     W = G / (np.asarray(phi, dtype=float) + 1.0)[..., None]    # rows times detection weights
     W, G = (a.reshape(a.shape[:-3] + (-1, a.shape[-1])) for a in (W, G))
     rho = np.asarray(rho, dtype=float)[..., None, None]

@@ -55,8 +55,6 @@ def _resolved(spec, args):
     if args.csi == "perfect":
         base = replace(base, pilot_snr=PERFECT_CSI)
     spec = replace(spec, base=base)
-    if getattr(args, "trial", 0) < 0:
-        raise ValueError(f"trial must be a non-negative integer, got {args.trial}")
     if getattr(args, "trials", None) is not None:
         spec = replace(spec, trials=args.trials)
     runs = spec.configs() if args.command == "sweep" else [base]
@@ -127,12 +125,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "validate":
         return _cmd_validate(args)
+    command = _cmd_sweep if args.command == "sweep" else _cmd_trial
     try:
-        spec, surcharge = _resolved(load_sweep_spec(args.config), args)
+        return command(args, *_resolved(load_sweep_spec(args.config), args))
     except (OSError, ValueError) as exc:    # json.JSONDecodeError is a ValueError
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    command = _cmd_sweep if args.command == "sweep" else _cmd_trial
-    return command(args, spec, surcharge)
 
 
 if __name__ == "__main__":

@@ -62,6 +62,12 @@ def decorrelate(Q, H):
     return V[..., ::-1], w[..., ::-1]
 
 
+def check_surcharge(surcharge):
+    """Reject a per-scalar rate surcharge that is negative or not finite."""
+    if not (np.isfinite(surcharge) and surcharge >= 0):
+        raise ValueError(f"surcharge must be a finite number >= 0, got {surcharge!r}")
+
+
 def waterfill(lam, R, surcharge=0.0):
     """Waterfilling rate allocation over component eigenvalues.
 
@@ -78,9 +84,10 @@ def waterfill(lam, R, surcharge=0.0):
     repeats the drop step independently until none changes. Returns (rates,
     n_active) over the broadcast leading axes, zeros for inactive components.
     """
+    check_surcharge(surcharge)
     lam = np.asarray(lam, dtype=float)
     R = np.asarray(R, dtype=float)[..., None]
-    if np.any(R < 0):
+    if not np.all(R >= 0):      # NaN fails too
         raise ValueError("rate budget must be >= 0")
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be non-negative")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError
-from .scenario import PERFECT_CSI
 
 
 @dataclass
@@ -33,16 +32,12 @@ def estimate_channels(channels, pilot_snr, rng):
     With prior per-antenna variance s2 = p_k beta_lk and pilot observation
     y = sqrt(pilot_snr) h + n (unit-variance noise), the estimate is
     h_hat = sqrt(pilot_snr) s2 / (1 + pilot_snr s2) * y with error variance
-    s2 / (1 + pilot_snr s2) per antenna. pilot_snr may be "perfect", or an
-    array of SNRs: the pilot noise is drawn once and every SNR scales the
-    same draw, so H_hat gets shape pilot_snr.shape + (L, M, K) and err_var
-    pilot_snr.shape + (L, K).
+    s2 / (1 + pilot_snr s2) per antenna. pilot_snr is numeric (the harness
+    skips estimation under genie CSI), a number or an array of SNRs: the pilot
+    noise is drawn once and every SNR scales the same draw, so H_hat gets
+    shape pilot_snr.shape + (L, M, K) and err_var pilot_snr.shape + (L, K).
     """
     L, M, K = channels.H.shape
-    if isinstance(pilot_snr, str):
-        if pilot_snr != PERFECT_CSI:
-            raise ValueError(f"pilot_snr must be a positive number or '{PERFECT_CSI}'")
-        return CsiModel(H_hat=channels.H.copy(), err_var=np.zeros((L, K)))
     snr = np.asarray(pilot_snr, dtype=float)[..., None, None]
     if np.any(snr <= 0):
         raise ValueError("pilot_snr must be > 0")

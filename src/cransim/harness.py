@@ -10,12 +10,12 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import capacity as cap
-from .compression import CompressionPlan, build_plan
+from .compression import CompressionPlan, build_plan, check_surcharge
 from .csi import estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
@@ -44,9 +44,6 @@ _OUTPUT_ROWS = {
     "cutset": (("cutset", "cutset"),),
 }
 
-CSV_COLUMNS = ("sweep_var", "value", "mode", "csi_mode", "N", "metric",
-               "mean", "p05", "trials", "seed")
-
 
 @dataclass
 class SweepSpec:
@@ -67,7 +64,7 @@ class SweepSpec:
         if self.outputs is None:
             self.outputs = OUTPUTS if self.n_candidates else tuple(
                 o for o in OUTPUTS if o != "best_n")
-        self.outputs = tuple(self.outputs)
+        self.outputs, self.n_candidates = tuple(self.outputs), tuple(self.n_candidates)
         self.validate()
 
     def validate(self):
@@ -111,7 +108,7 @@ class TrialRecord:
 
 @dataclass
 class SweepRow:
-    """One aggregated CSV row."""
+    """One aggregated CSV row; the fields are the CSV columns, their types the cell formats."""
 
     sweep_var: str
     value: float
@@ -123,6 +120,10 @@ class SweepRow:
     p05: float
     trials: int
     seed: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+_CSV_TYPES = tuple(f.type for f in fields(SweepRow))
 
 
 def trial_stream(master_seed, trial, lane=0):
@@ -205,32 +206,30 @@ def _n_column(mode, config):
             "local_baseline": config.max_components, "cutset": 0}[mode]
 
 
-def _evaluate(design, keys, mode, n, R, wanted, surcharge):
-    """The metrics in `wanted` for one (mode, n) on some keys of a design, at every rate R.
+def _evaluate(design, mode, n, R, wanted, surcharge):
+    """The metrics in `wanted` for one (mode, n) on every key of a design, at every rate R.
 
-    keys is a list of key indices (or ... for all of them) and R a
-    scalar or a 1-D array of rates; each metric gets R's axes, then the key
-    axis, in front of its own. Returns (metrics, plan). The harness's only
-    plan and capacity calls, one for all rates and keys, made only when a
-    capacity metric is wanted.
+    R is a scalar or a 1-D array of rates; each metric gets R's axes, then
+    the design's key axes, in front of its own. Returns (metrics, plan). The
+    harness's only plan and capacity calls, one for all rates and keys, made
+    only when a capacity metric is wanted.
     """
-    rho, H, full, sel = design.rho[keys], design.H[keys], design.full_mi[keys], design.selection
+    rho, H, full, sel = design.rho, design.H, design.full_mi, design.selection
     L, R = H.shape[-3], np.asarray(R, dtype=float)
-    out = {"full_mi": full, "cutset": np.minimum.outer(R * L, design.cutset_mi[keys])}
+    out = {"full_mi": full, "cutset": np.minimum.outer(R * L, design.cutset_mi)}
     if mode != "cutset":
         out["reduced_mi"] = (full if mode == "local_baseline"   # lossless basis
-                             else sel.mi_trajectory[keys][..., n * L - 1])
+                             else sel.mi_trajectory[..., n * L - 1])
         out["mi_proportion"] = np.divide(out["reduced_mi"], full, out=np.zeros(rho.shape),
                                          where=full > 0)
     plan = None
     if wanted & _CAPACITY_METRICS:
-        Q = design.baseline_Q[keys] if mode == "local_baseline" else sel.Q[keys][..., :n]
+        Q = design.baseline_Q if mode == "local_baseline" else sel.Q[..., :n]
         if mode == "unquantized":
             G = adjoint(Q) @ H
             phi = np.zeros(R.shape + G.shape[:-1])
         else:
-            omega = None if design.omega is None else design.omega[keys]
-            plan = build_plan(Q, H, R, rho, H_true=design.H_true, omega=omega,
+            plan = build_plan(Q, H, R, rho, H_true=design.H_true, omega=design.omega,
                               surcharge=surcharge)
             G, phi = plan.G, plan.Phi
         if "sum_capacity" in wanted:
@@ -255,6 +254,7 @@ def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
         raise ValueError(f"mode must be one of {MODES}")
     if not is_integer(trial) or trial < 0:
         raise ValueError(f"trial must be a non-negative integer, got {trial!r}")
+    check_surcharge(surcharge)
     csi = csi_mode(config.pilot_snr)
     selects = mode in ("proposed", "unquantized")
     if selects:
@@ -265,8 +265,7 @@ def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
     try:
         design = _designs(channels, (config.pilot_snr, config.rho), config.rng_seed, trial,
                           n if selects else 0, mode == "local_baseline")
-        metrics, plan = _evaluate(design, ..., mode, n, config.fronthaul_rate, wanted,
-                                  surcharge)
+        metrics, plan = _evaluate(design, mode, n, config.fronthaul_rate, wanted, surcharge)
     except Exception as exc:
         raise RuntimeError(f"trial {trial} failed in mode '{mode}' (csi={csi})") from exc
     return TrialRecord(trial=trial, seed=config.rng_seed, config=config, mode=mode,
@@ -325,8 +324,10 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
     design step; in a failing group, the member that fails alone at its rate
     and key), the mode and the CSI mode.
     """
+    check_surcharge(surcharge)
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
     nmax = max(dims + cands, default=0)
+    baseline = "local_baseline" in read
     csi = csi_mode(configs[0].pilot_snr)
     keys = list(dict.fromkeys((cfg.pilot_snr, cfg.rho) for cfg in configs))
     rates = list(dict.fromkeys(cfg.fronthaul_rate for cfg in configs))
@@ -346,20 +347,20 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
     for trial in range(trials):
         channels = generate_realization(base, trial_stream(base.rng_seed, trial, 0))
         try:
-            design = _designs(channels, keys, base.rng_seed, trial, nmax,
-                              "local_baseline" in read)
+            design = _designs(channels, keys, base.rng_seed, trial, nmax, baseline)
         except Exception as exc:
             raise RuntimeError(f"trial {trial} failed at {', '.join(labels)} in the design "
                                f"step (csi={csi})") from exc
         for (mode, n), (wanted, members) in groups.items():
             try:
-                metrics, _ = _evaluate(design, ..., mode, n, rates, wanted, surcharge)
+                metrics, _ = _evaluate(design, mode, n, rates, wanted, surcharge)
             except Exception as exc:
                 failed = list(members)
                 for ci in failed:   # rare path: re-run each member alone to name the culprit
+                    r, k = at[ci]
                     try:
-                        _evaluate(design, [at[ci][1]], mode, n, [rates[at[ci][0]]], wanted,
-                                  surcharge)
+                        one = _designs(channels, [keys[k]], base.rng_seed, trial, nmax, baseline)
+                        _evaluate(one, mode, n, [rates[r]], wanted, surcharge)
                     except Exception as single:
                         exc, failed = single, [ci]
                         break
@@ -416,8 +417,8 @@ def run_sweep(spec, surcharge=0.0):
     return rows
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _cell(x, kind):
+    return format(float(x), ".17g") if kind is float else kind(x)
 
 
 def emit_csv(rows, path):
@@ -425,25 +426,23 @@ def emit_csv(rows, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow([r.sweep_var, _fmt(r.value), r.mode, r.csi_mode, int(r.N),
-                             r.metric, _fmt(r.mean), _fmt(r.p05), int(r.trials),
-                             int(r.seed)])
+        writer.writerows([_cell(getattr(r, name), kind)
+                          for name, kind in zip(CSV_COLUMNS, _CSV_TYPES)] for r in rows)
 
 
 def read_csv(path):
-    """Parse a file produced by emit_csv back into SweepRow objects."""
+    """Parse a file produced by emit_csv back into SweepRow objects; blank lines are skipped."""
     rows = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-        for rec in reader:
-            rows.append(SweepRow(
-                sweep_var=rec["sweep_var"], value=float(rec["value"]), mode=rec["mode"],
-                csi_mode=rec["csi_mode"], N=int(rec["N"]), metric=rec["metric"],
-                mean=float(rec["mean"]), p05=float(rec["p05"]),
-                trials=int(rec["trials"]), seed=int(rec["seed"])))
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if tuple(header or ()) != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV header {header}")
+        for cells in filter(None, reader):
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"CSV line {reader.line_num} has {len(cells)} cells, "
+                                 f"expected {len(CSV_COLUMNS)}")
+            rows.append(SweepRow(*(kind(c) for kind, c in zip(_CSV_TYPES, cells))))
     return rows
 
 
@@ -491,13 +490,8 @@ def sweep_spec_from_dict(data):
     for key in ("values", "outputs", "n_candidates"):
         if not isinstance(sweep.get(key, []), list):
             raise ValueError(f"sweep {key} must be a list, got {sweep[key]!r}")
-    outputs = sweep.get("outputs")
-    return SweepSpec(base=base,
-                     sweep_variable=sweep.get("variable", "fronthaul_rate"),
-                     values=list(sweep.get("values", [])),
-                     trials=sweep.get("trials", 500),
-                     outputs=tuple(outputs) if outputs is not None else None,
-                     n_candidates=tuple(sweep.get("n_candidates", ())))
+    return SweepSpec(base=base, sweep_variable=sweep.pop("variable", "fronthaul_rate"),
+                     values=sweep.pop("values", []), **sweep)
 
 
 def load_sweep_spec(path):

@@ -106,7 +106,6 @@ class ChannelRealization:
     H: np.ndarray               # (L, M, K) complex; H[l][:, k] is user k's channel at receiver l
     beta: np.ndarray            # (L, K) large-scale gains, linear
     p: np.ndarray               # (K,) power-control coefficients, linear
-    positions: Geometry | None = None
 
 
 def large_scale_fading(user_xyz, rx_xyz, config, rng):
@@ -144,7 +143,7 @@ def power_control(beta):
     return beta.shape[0] / beta.sum(axis=0)
 
 
-def generate_channels(config, beta, p, rng, positions=None):
+def generate_channels(config, beta, p, rng):
     """Draw h_lk ~ CN(0, p_k beta_lk I_M), i.i.d. over antennas and links.
 
     Variance splits equally between real and imaginary parts (circular symmetry).
@@ -155,11 +154,10 @@ def generate_channels(config, beta, p, rng, positions=None):
     L, K, M = config.L, config.K, config.M
     scale = np.sqrt(p[None, None, :] * beta[:, None, :] / 2.0)  # (L, 1, K) -> broadcast (L, M, K)
     raw = rng.standard_normal((L, M, K)) + 1j * rng.standard_normal((L, M, K))
-    return ChannelRealization(H=raw * scale, beta=beta, p=p, positions=positions)
+    return ChannelRealization(H=raw * scale, beta=beta, p=p)
 
 
 def generate_realization(config, rng):
     """Geometry, power control and one channel draw in the canonical stream order."""
-    geometry, beta = generate_geometry(config, rng)
-    p = power_control(beta)
-    return generate_channels(config, beta, p, rng, positions=geometry)
+    _, beta = generate_geometry(config, rng)
+    return generate_channels(config, beta, power_control(beta), rng)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from cransim.capacity import sum_capacity
 from cransim.compression import (LLOYD_MAX_RATE_PENALTY, build_plan, decorrelate, quant_noise,
                                  true_component_variances, waterfill)
-from cransim.csi import estimate_channels, whiten
+from cransim.csi import CsiModel, estimate_channels, whiten
 from cransim.dimred import mfgs_select, signal_space_basis
-from cransim.scenario import PERFECT_CSI, SystemConfig, generate_realization
+from cransim.scenario import SystemConfig, generate_realization
 from cransim.validation import random_channels
 
 
@@ -93,6 +93,12 @@ class TestWaterfill:
             waterfill(np.array([2.0, 1.0]), -1.0)
         with pytest.raises(ValueError):
             waterfill(np.array([2.0, -1.0]), 1.0)
+        for R in (np.nan, np.array([2.0, np.nan])):
+            with pytest.raises(ValueError, match="rate budget"):
+                waterfill(np.array([4.0, 1.0]), R)
+        for surcharge in (-5.0, -1e-12, np.nan, np.inf):
+            with pytest.raises(ValueError, match="surcharge must be a finite number >= 0"):
+                waterfill(np.array([4.0, 1.0]), 4.0, surcharge=surcharge)
 
     @settings(max_examples=100, deadline=None)
     @given(_lam_lists(), st.floats(min_value=0.0, max_value=64.0))
@@ -212,7 +218,7 @@ class TestQuantNoise:
     def test_perfect_csi_equals_zero_error_imperfect(self, rng):
         cfg = SystemConfig(K=5, L=2, M=4, N=2, rng_seed=3)
         ch = generate_realization(cfg, np.random.default_rng(3))
-        csi = estimate_channels(ch, PERFECT_CSI, np.random.default_rng(0))
+        csi = CsiModel(H_hat=ch.H, err_var=np.zeros((cfg.L, cfg.K)))
         H_check, omega = whiten(csi, cfg.rho)
         sel = mfgs_select(ch.H, cfg.rho, cfg.N)
         plan_perf = build_plan(sel.Q, ch.H, 8.0, cfg.rho)

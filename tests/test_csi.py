@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cransim.csi import estimate_channels, whiten
+from cransim.csi import CsiModel, estimate_channels, whiten
 from cransim.linalg import NumericalError
-from cransim.scenario import (PERFECT_CSI, ChannelRealization, SystemConfig,
-                              generate_channels, generate_realization)
+from cransim.scenario import (ChannelRealization, SystemConfig, generate_channels,
+                              generate_realization)
 
 
 def _channels(seed=0, K=4, L=2, M=3):
@@ -12,10 +12,16 @@ def _channels(seed=0, K=4, L=2, M=3):
     return generate_realization(cfg, np.random.default_rng(seed))
 
 
+def _zero_error(ch):
+    """The CSI model of genie CSI: the true channels with no estimation error."""
+    L, _, K = ch.H.shape
+    return CsiModel(H_hat=ch.H, err_var=np.zeros((L, K)))
+
+
 class TestEstimation:
     def test_perfect_sentinel_degenerates(self):
         ch = _channels()
-        csi = estimate_channels(ch, PERFECT_CSI, np.random.default_rng(1))
+        csi = _zero_error(ch)
         assert np.array_equal(csi.H_hat, ch.H)
         assert np.all(csi.err_var == 0)
         H_check, omega = whiten(csi, rho=10.0)
@@ -84,7 +90,7 @@ class TestEstimation:
 class TestWhitening:
     def test_zero_error_is_identity_whitening(self):
         ch = _channels(seed=2)
-        csi = estimate_channels(ch, PERFECT_CSI, np.random.default_rng(0))
+        csi = _zero_error(ch)
         H_check, omega = whiten(csi, rho=25.0)
         assert np.array_equal(H_check, csi.H_hat)
         assert np.all(omega == 1.0)

@@ -109,6 +109,19 @@ class TestRunTrial:
                                              rf"got {trial}"):
             run_trial(_cfg(), trial=trial)
 
+    @pytest.mark.parametrize("surcharge", [-5.0, np.nan, np.inf])
+    def test_rejects_bad_surcharge_before_any_trial(self, monkeypatch, surcharge):
+        def no_trial(*a, **k):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "generate_realization", no_trial)
+        match = "surcharge must be a finite number >= 0"
+        with pytest.raises(ValueError, match=match):
+            run_trial(_cfg(fronthaul_rate=4.0), surcharge=surcharge)
+        with pytest.raises(ValueError, match=match):
+            run_sweep(_spec(), surcharge=surcharge)
+        with pytest.raises(ValueError, match=match):
+            best_dimension(_cfg(), R=4.0, n_candidates=[1, 2], trials=1, surcharge=surcharge)
+
     def test_error_carries_trial_context(self, monkeypatch):
         def boom(*a, **k):
             raise ArithmeticError("synthetic failure")
@@ -287,6 +300,16 @@ class TestSweepSpec:
             with pytest.raises(ValueError, match=f"sweep {key} must be a list"):
                 sweep_spec_from_dict({**good, "sweep": {"values": [1.0], key: bad}})
 
+    def test_from_dict_defaults(self):
+        spec = sweep_spec_from_dict({"schema": CONFIG_SCHEMA, "sweep": {"values": [1.0]}})
+        assert spec.sweep_variable == "fronthaul_rate"
+        assert spec.trials == 500
+        assert spec.outputs == ("sum_capacity", "user_capacity", "baseline", "mi_proportion",
+                                "cutset")
+        assert spec.n_candidates == ()
+        with pytest.raises(ValueError, match="values must be non-empty"):
+            sweep_spec_from_dict({"schema": CONFIG_SCHEMA, "sweep": {}})
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({
@@ -420,6 +443,34 @@ class TestRunSweep:
             run_sweep(spec)
         assert isinstance(info.value.__cause__, ArithmeticError)
 
+    @staticmethod
+    def _fail_at_three_columns(monkeypatch):
+        real = harness.build_plan
+
+        def fails_at_n3(Q, *a, **k):
+            if Q.shape[-1] == 3:
+                raise ArithmeticError("synthetic failure")
+            return real(Q, *a, **k)
+        monkeypatch.setattr(harness, "build_plan", fails_at_n3)
+
+    def test_failure_inside_an_n_sweep_names_the_failing_dimension(self, monkeypatch):
+        self._fail_at_three_columns(monkeypatch)
+        spec = _spec(_cfg(K=4, L=2, M=4, N=2), sweep_variable="N", values=[1, 2, 3, 4],
+                     outputs=("sum_capacity",))
+        with pytest.raises(RuntimeError, match=r"trial 0 failed at N=3 in mode 'proposed' "
+                                               r"at N=3 \(csi=perfect\)$") as info:
+            run_sweep(spec)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_failure_of_a_best_n_candidate_names_the_first_rate(self, monkeypatch):
+        self._fail_at_three_columns(monkeypatch)
+        spec = _spec(_cfg(K=4, L=2, M=4, N=2), values=[1.0, 4.0], outputs=("best_n",),
+                     n_candidates=(2, 3))
+        with pytest.raises(RuntimeError, match=r"^trial 0 failed at fronthaul_rate=1.0 in mode "
+                                               r"'proposed' at N=3 \(csi=perfect\)$") as info:
+            run_sweep(spec)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
     def test_design_failure_names_trial_batched_values_and_csi(self, monkeypatch):
         def boom(*a, **k):
             raise ArithmeticError("synthetic failure")
@@ -462,6 +513,18 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("cut, cells", [(slice(0, -1), 9), (slice(None), 11)],
+                             ids=["short", "long"])
+    def test_malformed_row_rejected_with_its_line(self, tmp_path, cut, cells):
+        path = tmp_path / "rows.csv"
+        emit_csv(run_sweep(_spec(trials=1)), path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        lines[2] = ",".join(row[cut] + ["7"] * (cells - len(row[cut])))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"CSV line 3 has {cells} cells, expected 10"):
             read_csv(path)
 
     def test_unwritable_path_raises(self, tmp_path):
