@@ -6,8 +6,7 @@
 
 import numpy as np
 
-from cransim import (SystemConfig, full_joint_mi, generate_realization, mfgs_select,
-                     truncate_selection)
+from cransim import SystemConfig, full_joint_mi, generate_realization, mfgs_select
 from cransim.harness import trial_stream
 from cransim.validation import stage_gain_diagnostics
 
@@ -35,8 +34,8 @@ print(f"\nusers covered after two rounds: {first_round}")
 
 # eigen-diagnostics of a late stage: the equivalent channel is already strong
 # in every direction, so the remaining gain is small
-cut = truncate_selection(sel, channels.H, cfg.rho, 7)
+before = mfgs_select(channels.H, cfg.rho, 7)
 q_last = sel.Q[0][:, 7]
-diag, gain = stage_gain_diagnostics(cut.A_final, channels.H[0], q_last, cfg.rho)
+diag, gain = stage_gain_diagnostics(before.A_final, channels.H[0], q_last, cfg.rho)
 print(f"stage 8 at receiver 0: gain {gain:.4g} bits, candidate power {diag.gamma:.4g}")
 print(f"equivalent-channel eigenvalues before the update: {np.round(diag.upsilon, 1)}")

@@ -8,10 +8,10 @@ reproducible Monte-Carlo sweeps. The package namespace holds the README's entry
 points; the rest stays in its module, the oracles in `cransim.validation`.
 """
 
-from .capacity import cutset_bound, sum_capacity
+from .capacity import sum_capacity
 from .compression import build_plan, waterfill
 from .csi import estimate_channels, whiten
-from .dimred import full_joint_mi, mfgs_select, truncate_selection
+from .dimred import full_joint_mi, mfgs_select
 from .harness import (SweepSpec, best_dimension, emit_csv, mi_proportion_sweep, read_csv,
                       run_sweep, run_trial)
 from .scenario import (SystemConfig, generate_channels, generate_geometry,

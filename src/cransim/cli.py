@@ -109,14 +109,11 @@ def _cmd_trial(args, spec, surcharge):
 
 def _cmd_validate(args):
     results = run_validation(seed=args.seed)
-    failed = 0
     for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"{status}  {name}{suffix}")
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f" ({detail})" if detail else ""))
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def main(argv=None):

@@ -296,33 +296,30 @@ def mi_proportion_sweep(config, rho_values, n_values, trials):
     for name, values in (("rho_values", rho_values), ("n_values", n_values)):
         if len(values) == 0:
             raise ValueError(f"{name} must be non-empty")
-    if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    grid = [(rho, n) for rho in rho_values for n in n_values]
-    configs = [replace(config, rho=rho, N=n) for rho, n in grid]
-    stats, at = _collect(config, configs, [f"rho={rho}, N={n}" for rho, n in grid],
-                         trials, 0.0, {"unquantized": {"mi_proportion"}}, [])
-    means = [stats[("unquantized", n, "mi_proportion")][0][at[i]]
-             for i, (_, n) in enumerate(grid)]
+    rhos = SweepSpec(config, "rho", rho_values, trials, outputs=("mi_proportion",)).configs()
+    configs = [replace(cfg, N=n) for cfg in rhos for n in n_values]
+    samples, at = _collect(config, configs, [f"rho={c.rho}, N={c.N}" for c in configs],
+                           trials, 0.0, {"unquantized": {"mi_proportion"}}, [])
+    means = [np.mean(samples[("unquantized", c.N, "mi_proportion")][at[i]])
+             for i, c in enumerate(configs)]
     return np.reshape(means, (len(rho_values), len(n_values)))
 
 
 def _collect(base, configs, labels, trials, surcharge, read, cands):
-    """Trial statistics of every evaluation the configs need.
+    """Paired per-trial samples of every evaluation the configs need.
 
     read maps each mode to the metrics its rows read; each best-N candidate
     in cands adds a proposed sum capacity. Per trial, one batched design step
     builds a design for each distinct SNR and CSI state, and each (mode, n)
     group runs one stacked _evaluate over all the configs' fronthaul rates and
-    CSI keys. That wastes no cell because every caller's configs form a
-    product grid over (rate, key, N) in one CSI mode: a one-variable sweep of
-    real values, or the (rho, N) grid of mi_proportion_sweep. Returns (stats,
-    at): stats maps (mode, n, metric) to (mean, p05) arrays over trials of
-    shape (rates, keys), user capacities pooling trials x users, and config i
-    reads cell at[i]. A failure is re-raised as a RuntimeError naming the
-    trial, the labels of the configs in the failing step (all of them for the
-    design step; in a failing group, the member that fails alone at its rate
-    and key), the mode and the CSI mode.
+    CSI keys, which wastes no cell because every caller's configs form a
+    product grid over (rate, key, N) in one CSI mode. Returns (samples, at):
+    samples maps (mode, n, metric) to a contiguous array of shape
+    (rates, keys, trials[, users]), and config i reads cell at[i]. A failure
+    is re-raised as a RuntimeError naming the trial, the labels of the
+    configs in the failing step (all of them for the design step; in a
+    failing group, the member that fails alone at its rate and key), the mode
+    and the CSI mode.
     """
     check_surcharge(surcharge)
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
@@ -369,12 +366,13 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
                                    f"'{mode}' at N={n} (csi={csi})") from exc
             for metric, value in metrics.items():
                 samples.setdefault((mode, n, metric), []).append(value)
-    stats = {}
-    for name, per_trial in samples.items():
-        # trial axis last and contiguous, so each cell reduces as a 1-D sample would
-        x = np.stack(per_trial, axis=2).reshape(len(rates), len(keys), -1)
-        stats[name] = np.mean(x, axis=-1), np.percentile(x, 5.0, axis=-1)
-    return stats, at
+    return {name: np.stack(per_trial, axis=2) for name, per_trial in samples.items()}, at
+
+
+def _mean_p05(x):
+    """Per-cell (mean, p05) of a (rates, keys, trials[, users]) sample, users pooled trial-major."""
+    x = x.reshape(x.shape[:2] + (-1,))     # a view: each cell reduces as a 1-D sample would
+    return np.mean(x, axis=-1), np.percentile(x, 5.0, axis=-1)
 
 
 def run_sweep(spec, surcharge=0.0):
@@ -399,8 +397,9 @@ def run_sweep(spec, surcharge=0.0):
     if read.keys() & {"proposed", "unquantized"}:
         for cfg in configs:
             _check_dimension_advice(cfg)
-    stats, at = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
-                         spec.trials, surcharge, read, cands)
+    samples, at = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
+                           spec.trials, surcharge, read, cands)
+    stats = {name: _mean_p05(x) for name, x in samples.items()}
 
     rows = []
     for ci, (v, cfg) in enumerate(zip(spec.values, configs)):
@@ -442,7 +441,14 @@ def read_csv(path):
             if len(cells) != len(CSV_COLUMNS):
                 raise ValueError(f"CSV line {reader.line_num} has {len(cells)} cells, "
                                  f"expected {len(CSV_COLUMNS)}")
-            rows.append(SweepRow(*(kind(c) for kind, c in zip(_CSV_TYPES, cells))))
+            values = []
+            for name, kind, cell in zip(CSV_COLUMNS, _CSV_TYPES, cells):
+                try:
+                    values.append(kind(cell))
+                except ValueError:
+                    raise ValueError(f"CSV line {reader.line_num} column {name!r}: cannot "
+                                     f"read {cell!r} as {kind.__name__}") from None
+            rows.append(SweepRow(*values))
     return rows
 
 
@@ -497,5 +503,4 @@ def sweep_spec_from_dict(data):
 def load_sweep_spec(path):
     """Load a sweep configuration from a JSON file."""
     with open(path) as f:
-        data = json.load(f)
-    return sweep_spec_from_dict(data)
+        return sweep_spec_from_dict(json.load(f))

@@ -6,16 +6,16 @@ criterion states otherwise.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy.stats
 
-from cransim.capacity import sum_capacity
 from cransim.cli import main as cli_main
-from cransim.compression import build_plan, quant_noise, waterfill
-from cransim.dimred import full_joint_mi, mfgs_select, signal_space_basis, truncate_selection
-from cransim.harness import SweepSpec, run_sweep, run_trial, trial_stream
-from cransim.scenario import SystemConfig, generate_realization
+from cransim.compression import quant_noise, waterfill
+from cransim.dimred import full_joint_mi, mfgs_select, signal_space_basis
+from cransim.harness import SweepSpec, _collect, run_sweep, run_trial
+from cransim.scenario import SystemConfig
 from cransim.validation import (greedy_reference, joint_mi, orthonormalize, random_channels,
                                 stage_gain_diagnostics)
 
@@ -27,6 +27,22 @@ def _report(num, name, passed, detail=""):
     suffix = f" -- {detail}" if detail else ""
     print(f"\n[ACCEPTANCE {num:02d}] {status}: {name}{suffix}")
     assert passed, f"criterion {num} failed: {name}{suffix}"
+
+
+def _paired_samples(cfg, R_values, rho_values, cands, trials):
+    """Paired per-trial samples from the sweep kernel over a (rate, SNR) grid.
+
+    Returns the proposed sum capacity at every candidate N, shape
+    (rates, rhos, cands, trials), and the local-compression sum capacity and
+    the cut-set bound, each (rates, rhos, trials).
+    """
+    configs = [replace(cfg, fronthaul_rate=R, rho=rho) for R in R_values for rho in rho_values]
+    samples, _ = _collect(cfg, configs, [f"R={c.fronthaul_rate}, rho={c.rho}" for c in configs],
+                          trials, 0.0, {"local_baseline": {"sum_capacity"}, "cutset": {"cutset"}},
+                          cands)
+    cap = np.stack([samples[("proposed", n, "sum_capacity")] for n in cands], axis=2)
+    return (cap, samples[("local_baseline", cfg.max_components, "sum_capacity")],
+            samples[("cutset", 0, "cutset")])
 
 
 def test_criterion_01_greedy_matches_exhaustive_per_stage_search():
@@ -224,29 +240,10 @@ def test_criterion_07_mi_proportion_trends():
 
 
 def test_criterion_08_rate_capacity_dominance_and_cutset_proximity():
-    rng_seed = 808
-    cfg = SystemConfig(K=8, L=4, M=8, N=2, rho=RHO_15DB, rng_seed=rng_seed)
+    cfg = SystemConfig(K=8, L=4, M=8, N=2, rho=RHO_15DB, rng_seed=808)
     R_values = [2.0, 4.0, 6.0, 8.0, 10.0, 16.0, 24.0]
     cands = list(range(1, 9))
-    trials = 200
-
-    cap = np.zeros((len(R_values), len(cands), trials))
-    base = np.zeros((len(R_values), trials))
-    cut = np.zeros((len(R_values), trials))
-    for t in range(trials):
-        ch = generate_realization(cfg, trial_stream(cfg.rng_seed, t, 0))
-        sel = mfgs_select(ch.H, cfg.rho, max(cands))
-        full = full_joint_mi(ch.H, cfg.rho)
-        Qb = signal_space_basis(ch.H)
-        sels = {n: (sel if n == max(cands) else truncate_selection(sel, ch.H, cfg.rho, n))
-                for n in cands}
-        for i, R in enumerate(R_values):
-            cut[i, t] = min(R * cfg.L, full)
-            plan_b = build_plan(Qb, ch.H, R, cfg.rho)
-            base[i, t] = sum_capacity(plan_b.G, plan_b.Phi, cfg.rho)
-            for j, n in enumerate(cands):
-                plan = build_plan(sels[n].Q, ch.H, R, cfg.rho)
-                cap[i, j, t] = sum_capacity(plan.G, plan.Phi, cfg.rho)
+    cap, base, cut = (x[:, 0] for x in _paired_samples(cfg, R_values, [cfg.rho], cands, 200))
 
     mean_cap = cap.mean(axis=2)
     pvals, ratios = [], []
@@ -298,3 +295,22 @@ def test_criterion_10_sweep_determinism(tmp_path):
     identical = out_a.read_bytes() == out_b.read_bytes()
     _report(10, "two executions of the acceptance sweep produce byte-identical CSV",
             identical, f"{out_a.stat().st_size} bytes each")
+
+
+def test_criterion_11_gain_over_local_compression_grows_with_snr():
+    cfg = SystemConfig(K=8, L=4, M=8, N=2, rng_seed=1111)
+    R_values, rho_db = [4.0, 8.0, 16.0], [0.0, 10.0, 20.0, 30.0]
+    cap, base, _ = _paired_samples(cfg, R_values, [10.0 ** (db / 10.0) for db in rho_db],
+                                   [1, 2, 3, 4, 6, 8], trials=200)
+
+    best = np.argmax(cap.mean(axis=-1), axis=-1)    # best N per (R, rho) cell, by mean
+    best_cap = np.take_along_axis(cap, best[..., None, None], axis=2)[:, :, 0]
+    pvals = scipy.stats.wilcoxon(best_cap - base, alternative="greater", axis=-1).pvalue
+    gain = best_cap.mean(axis=-1) / base.mean(axis=-1) - 1.0
+    growing = bool(np.all(np.diff(gain, axis=1) >= 0.0))
+    _report(11, "best-N beats local compression at every (R, SNR) point, by a relative "
+                "gain that does not shrink as SNR rises",
+            bool(np.all(pvals < 0.05)) and growing,
+            f"max p-value {pvals.max():.2e}, gains at 0/10/20/30 dB: " + "; ".join(
+                f"R={R:g}: " + ", ".join(f"{100 * g:+.1f}%" for g in row)
+                for R, row in zip(R_values, gain)))

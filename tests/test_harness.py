@@ -515,16 +515,18 @@ class TestCsv:
         with pytest.raises(ValueError, match="unexpected CSV header"):
             read_csv(path)
 
-    @pytest.mark.parametrize("cut, cells", [(slice(0, -1), 9), (slice(None), 11)],
-                             ids=["short", "long"])
-    def test_malformed_row_rejected_with_its_line(self, tmp_path, cut, cells):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row[:-1], "has 9 cells, expected 10"),
+        (lambda row: row + ["7"], "has 11 cells, expected 10"),
+        (lambda row: row[:1] + ["abc"] + row[2:], "column 'value': cannot read 'abc' as float"),
+    ], ids=["short", "long", "unparsable"])
+    def test_malformed_row_rejected_with_its_line(self, tmp_path, edit, message):
         path = tmp_path / "rows.csv"
         emit_csv(run_sweep(_spec(trials=1)), path)
         lines = path.read_text().splitlines()
-        row = lines[2].split(",")
-        lines[2] = ",".join(row[cut] + ["7"] * (cells - len(row[cut])))
+        lines[2] = ",".join(edit(lines[2].split(",")))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"CSV line 3 has {cells} cells, expected 10"):
+        with pytest.raises(ValueError, match=f"CSV line 3 {message}"):
             read_csv(path)
 
     def test_unwritable_path_raises(self, tmp_path):
