@@ -81,8 +81,9 @@ def waterfill(lam, R, surcharge=0.0):
 
     lam may be a stack (..., n) of descending rows and R an array that
     broadcasts against lam.shape[:-1]: each row gets its own budget and
-    repeats the drop step independently until none changes. Returns (rates,
-    n_active) over the broadcast leading axes, zeros for inactive components.
+    repeats the drop step independently until none changes, and each pass
+    recomputes only the rows not yet settled. Returns (rates, n_active) over
+    the broadcast leading axes, zeros for inactive components.
     """
     check_surcharge(surcharge)
     lam = np.asarray(lam, dtype=float)
@@ -94,16 +95,21 @@ def waterfill(lam, R, surcharge=0.0):
     if np.any(np.diff(lam, axis=-1) > 1e-12 * np.maximum(1.0, lam[..., :1])):
         raise ValueError("eigenvalues must be sorted descending")
 
-    active = np.broadcast_to(lam > 0, np.broadcast_shapes(R.shape, lam.shape))
-    log_lam = np.log2(np.where(lam > 0, lam, 1.0))
-    while True:
-        n = np.maximum(np.count_nonzero(active, axis=-1), 1)[..., None]
-        mean = np.sum(np.where(active, log_lam, 0.0), axis=-1, keepdims=True) / n
-        rates = (R - surcharge * n) / n + log_lam - mean
-        keep = active & (rates > 0)
-        if np.array_equal(keep, active):
-            return np.where(active, rates, 0.0), np.count_nonzero(active, axis=-1)
-        active = keep
+    shape = np.broadcast_shapes(R.shape, lam.shape)
+    rows = (int(np.prod(shape[:-1])), shape[-1])    # one row per allocation
+    active = np.broadcast_to(lam > 0, shape).reshape(rows).copy()
+    log_lam = np.broadcast_to(np.log2(np.where(lam > 0, lam, 1.0)), shape).reshape(rows)
+    R = np.broadcast_to(R, shape[:-1] + (1,)).reshape(-1, 1)
+    rates, todo = np.empty(log_lam.shape), np.arange(len(log_lam))   # todo: rows not settled
+    while todo.size:
+        act, ll = active[todo], log_lam[todo]
+        n = np.maximum(np.count_nonzero(act, axis=-1), 1)[:, None]
+        mean = np.sum(np.where(act, ll, 0.0), axis=-1, keepdims=True) / n
+        r = (R[todo] - surcharge * n) / n + ll - mean
+        active[todo] = keep = act & (r > 0)
+        rates[todo] = np.where(keep, r, 0.0)   # final once a pass keeps the row's active set
+        todo = todo[(keep != act).any(axis=-1)]
+    return rates.reshape(shape), np.count_nonzero(active.reshape(shape), axis=-1)
 
 
 def quant_noise(lam, rates, rho, variances=None):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import capacity as cap
 from .compression import CompressionPlan, build_plan, check_surcharge
-from .csi import estimate_channels, whiten
+from .csi import CsiModel, estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
 from .linalg import adjoint
@@ -150,15 +150,16 @@ def csi_mode(pilot_snr):
 
 @dataclass
 class _Design:
-    """Rate-independent state of a trial's (rho, CSI) keys, shared by every mode, rate and N.
+    """Rate-independent state of a trial chunk's (rho, CSI) keys, shared by every mode, rate and N.
 
-    Built for a list of keys, every array but H_true has a leading key axis.
-    H (L, M, K) holds the design channels: the truth under perfect CSI, the
-    whitened estimates under pilot CSI, where H_true and the equivalent-noise
-    levels omega (L,) carry the rest of the CSI state (None under perfect
-    CSI). selection is one greedy run at the largest dimension any caller
-    reads: by the prefix property its first n rounds are the run at n.
-    cutset_mi is the full-dimension MI of the true channels.
+    Arrays lead with (trial, key) axes: rho and the MIs are (T, keys), and H
+    (T, keys, L, M, K) holds the design channels: the truth under perfect CSI,
+    the whitened estimates under pilot CSI, where the true channels H_true
+    (T, 1, L, M, K) and the equivalent-noise levels omega (T, keys, L) carry
+    the rest of the CSI state (None under perfect CSI). selection is one
+    greedy run at the largest dimension any caller reads: by the prefix
+    property its first n rounds are the run at n. cutset_mi is the
+    full-dimension MI of the true channels.
     """
 
     rho: np.ndarray
@@ -171,29 +172,43 @@ class _Design:
     baseline_Q: np.ndarray | None = None
 
 
-def _designs(channels, keys, seed, trial, nmax, baseline):
-    """The _Design of one CSI mode's (pilot_snr, rho) key(s) `keys` in realization `trial`.
+def _designs(channels, keys, seed, trials, nmax, baseline):
+    """The _Design of one CSI mode's (pilot_snr, rho) keys on the realizations of `trials`.
 
-    Estimation (from the trial's lane-1 pilot noise), whitening, selection
-    and the full MI each run once over the stack of keys, and the cut-set MI
-    of the true channels once per distinct rho. nmax = 0 skips selection.
+    Estimation (each trial from its own lane-1 pilot noise), whitening,
+    selection and the full MI each run once over the (trial, key) stack, and
+    the cut-set MI of the true channels once per distinct rho. nmax = 0 skips
+    selection.
     """
-    pilot, rho = map(np.array, zip(*keys) if isinstance(keys, list) else keys)
-    rho, extra = rho.astype(float), {}
-    if csi_mode(pilot.flat[0]) == "pilot":
-        model = estimate_channels(channels, pilot, trial_stream(seed, trial, 1))
-        H, omega = whiten(model, rho)
+    pilot, rho = map(np.array, zip(*keys))
+    H_true = np.stack([c.H for c in channels])[:, None]
+    rho, extra = np.broadcast_to(rho.astype(float), (len(channels), len(keys))), {}
+    if csi_mode(pilot[0]) == "pilot":
+        models = [estimate_channels(c, pilot, trial_stream(seed, t, 1))
+                  for c, t in zip(channels, trials)]
+        H, omega = whiten(CsiModel(np.stack([m.H_hat for m in models]),
+                                   np.stack([m.err_var for m in models])), rho)
         full_mi = full_joint_mi(H, rho)
-        rhos, which = np.unique(rho, return_inverse=True)
-        cutset_mi = full_joint_mi(channels.H, rhos)[which]
-        extra = {"H_true": channels.H, "omega": omega}
+        rhos, which = np.unique(rho[0], return_inverse=True)
+        cutset_mi = full_joint_mi(H_true, rhos)[:, which]
+        extra = {"H_true": H_true, "omega": omega}
     else:
-        H = np.broadcast_to(channels.H, rho.shape + channels.H.shape)
-        full_mi = cutset_mi = full_joint_mi(channels.H, rho)
+        H = np.broadcast_to(H_true, rho.shape + H_true.shape[-3:])
+        full_mi = cutset_mi = full_joint_mi(H_true, rho)
     return _Design(rho=rho, H=H, full_mi=full_mi, cutset_mi=cutset_mi,
                    selection=mfgs_select(H, rho, nmax) if nmax else None,
                    baseline_Q=signal_space_basis(H) if baseline else None, **extra)
 
+
+def _element(batched):
+    """The (trial 0, key 0) element of a batched selection or plan (None stays None)."""
+    return batched and replace(batched, **{f.name: getattr(batched, f.name)[0][0]
+                                           for f in fields(batched)})
+
+
+# Memory budget of a trial chunk, in stacked (trial, key) channel elements: (8,4,8,2)
+# sweeps run in one chunk, (64,32,16,4) trials (at the budget alone) one at a time.
+_CHUNK_ELEMENTS = 2 ** 15
 
 _CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}
 _LMMSE_METRICS = {"lmmse_sum_capacity", "user_capacity", "sqinr"}
@@ -247,8 +262,8 @@ def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
 
     The realization is reproduced from (config.rng_seed, trial), so calling
     with different modes but the same trial index evaluates the same channels.
-    It is the sweep kernel's batch of one: a single key and a scalar rate,
-    so its selection and plan are unstacked (None in a mode that has none).
+    It is the sweep kernel's batch of one: one trial, one key and a scalar
+    rate, its selection and plan unstacked (None in a mode that has none).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -256,21 +271,20 @@ def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
         raise ValueError(f"trial must be a non-negative integer, got {trial!r}")
     check_surcharge(surcharge)
     csi = csi_mode(config.pilot_snr)
-    selects = mode in ("proposed", "unquantized")
-    if selects:
+    if selects := mode in ("proposed", "unquantized"):
         _check_dimension_advice(config)
     channels = generate_realization(config, trial_stream(config.rng_seed, trial, 0))
     n = _n_column(mode, config)
     wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS
     try:
-        design = _designs(channels, (config.pilot_snr, config.rho), config.rng_seed, trial,
-                          n if selects else 0, mode == "local_baseline")
+        design = _designs([channels], [(config.pilot_snr, config.rho)], config.rng_seed,
+                          [trial], n if selects else 0, mode == "local_baseline")
         metrics, plan = _evaluate(design, mode, n, config.fronthaul_rate, wanted, surcharge)
     except Exception as exc:
         raise RuntimeError(f"trial {trial} failed in mode '{mode}' (csi={csi})") from exc
     return TrialRecord(trial=trial, seed=config.rng_seed, config=config, mode=mode,
-                       csi_mode=_CSI_LABELS[csi], metrics={m: v[()] for m, v in metrics.items()},
-                       selection=design.selection, plan=plan)
+                       csi_mode=_CSI_LABELS[csi], metrics={m: v[0, 0] for m, v in metrics.items()},
+                       selection=_element(design.selection), plan=_element(plan))
 
 
 def best_dimension(config, R, n_candidates, trials, surcharge=0.0):
@@ -309,17 +323,19 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
     """Paired per-trial samples of every evaluation the configs need.
 
     read maps each mode to the metrics its rows read; each best-N candidate
-    in cands adds a proposed sum capacity. Per trial, one batched design step
-    builds a design for each distinct SNR and CSI state, and each (mode, n)
-    group runs one stacked _evaluate over all the configs' fronthaul rates and
-    CSI keys, which wastes no cell because every caller's configs form a
-    product grid over (rate, key, N) in one CSI mode. Returns (samples, at):
+    in cands adds a proposed sum capacity. Trials run in chunks of at most
+    _CHUNK_ELEMENTS stacked (trial, key) channel elements: per chunk, one
+    batched design step covers every trial and distinct SNR and CSI state,
+    and each (mode, n) group runs one stacked _evaluate over the trials and
+    all the configs' fronthaul rates and CSI keys, which wastes no cell as
+    every caller's configs form a product grid over (rate, key, N) in one CSI
+    mode. Samples do not depend on the chunk size. Returns (samples, at):
     samples maps (mode, n, metric) to a contiguous array of shape
-    (rates, keys, trials[, users]), and config i reads cell at[i]. A failure
-    is re-raised as a RuntimeError naming the trial, the labels of the
-    configs in the failing step (all of them for the design step; in a
-    failing group, the member that fails alone at its rate and key), the mode
-    and the CSI mode.
+    (rates, keys, trials[, users]), and config i reads cell at[i]. A failing
+    chunk is re-run one trial at a time, and a failing trial re-raised as a
+    RuntimeError naming it, the labels of the configs in the failing step
+    (all of them for the design step; in a failing group, the member that
+    fails alone at its rate and key), the mode and the CSI mode.
     """
     check_surcharge(surcharge)
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
@@ -340,33 +356,41 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
             wanted |= metrics
             members[ci] = None
 
-    samples = {}    # (mode, n, metric) -> per-trial arrays of shape (rates, keys[, users])
-    for trial in range(trials):
-        channels = generate_realization(base, trial_stream(base.rng_seed, trial, 0))
+    samples = {}    # (mode, n, metric) -> array of shape (rates, keys, trials[, users])
+    size = max(1, _CHUNK_ELEMENTS // (len(keys) * base.L * base.M * base.K))
+    todo = [range(t, min(t + size, trials)) for t in reversed(range(0, trials, size))]  # a stack
+    while todo:
+        chunk, step = todo.pop(), None      # step: the failing (mode, n) group, None in design
+        channels = [generate_realization(base, trial_stream(base.rng_seed, t, 0)) for t in chunk]
         try:
-            design = _designs(channels, keys, base.rng_seed, trial, nmax, baseline)
+            design = _designs(channels, keys, base.rng_seed, chunk, nmax, baseline)
+            for step in groups:
+                metrics, _ = _evaluate(design, *step, rates, groups[step][0], surcharge)
+                for metric, value in metrics.items():
+                    x = samples.setdefault(step + (metric,), np.empty(
+                        (len(rates), len(keys), trials) + value.shape[3:]))
+                    x[:, :, chunk.start:chunk.stop] = value.swapaxes(1, 2)
         except Exception as exc:
-            raise RuntimeError(f"trial {trial} failed at {', '.join(labels)} in the design "
-                               f"step (csi={csi})") from exc
-        for (mode, n), (wanted, members) in groups.items():
-            try:
-                metrics, _ = _evaluate(design, mode, n, rates, wanted, surcharge)
-            except Exception as exc:
-                failed = list(members)
-                for ci in failed:   # rare path: re-run each member alone to name the culprit
-                    r, k = at[ci]
-                    try:
-                        one = _designs(channels, [keys[k]], base.rng_seed, trial, nmax, baseline)
-                        _evaluate(one, mode, n, [rates[r]], wanted, surcharge)
-                    except Exception as single:
-                        exc, failed = single, [ci]
-                        break
-                raise RuntimeError(f"trial {trial} failed at "
-                                   f"{', '.join(labels[ci] for ci in failed)} in mode "
-                                   f"'{mode}' at N={n} (csi={csi})") from exc
-            for metric, value in metrics.items():
-                samples.setdefault((mode, n, metric), []).append(value)
-    return {name: np.stack(per_trial, axis=2) for name, per_trial in samples.items()}, at
+            if len(chunk) > 1:      # rare path: re-run the chunk one trial at a time
+                todo += [range(t, t + 1) for t in reversed(chunk)]
+                continue
+            if step is None:
+                raise RuntimeError(f"trial {chunk[0]} failed at {', '.join(labels)} in the "
+                                   f"design step (csi={csi})") from exc
+            (mode, n), (wanted, members) = step, groups[step]
+            failed = list(members)
+            for ci in failed:   # re-run each member alone to name the culprit
+                r, k = at[ci]
+                try:
+                    one = _designs(channels, [keys[k]], base.rng_seed, chunk, nmax, baseline)
+                    _evaluate(one, mode, n, [rates[r]], wanted, surcharge)
+                except Exception as single:
+                    exc, failed = single, [ci]
+                    break
+            raise RuntimeError(f"trial {chunk[0]} failed at "
+                               f"{', '.join(labels[ci] for ci in failed)} in mode "
+                               f"'{mode}' at N={n} (csi={csi})") from exc
+    return samples, at
 
 
 def _mean_p05(x):

@@ -9,7 +9,7 @@ from cransim.compression import LLOYD_MAX_RATE_PENALTY
 from cransim.harness import (CONFIG_SCHEMA, SweepSpec, best_dimension, emit_csv,
                              load_sweep_spec, mi_proportion_sweep, read_csv, run_sweep,
                              run_trial, sweep_spec_from_dict, trial_stream)
-from cransim.scenario import SystemConfig
+from cransim.scenario import SystemConfig, generate_realization
 
 
 def _cfg(**kw):
@@ -40,6 +40,28 @@ def _assert_batch_independent(variable, values, csi, surcharge):
     singles = {v: sweep([v]) for v in values}
     for order in (values, values[::-1]):
         assert sweep(order) == [row for v in order for row in singles[v]]
+
+
+def _chunked_run(spec, size, surcharge=0.0):
+    """run_sweep at `size` trials per chunk: its rows, _collect's samples and the chunk sizes run."""
+    cfg, chunks, collected = spec.base, [], []
+    keys = len({(c.pilot_snr, c.rho) for c in spec.configs()})
+    designs, collect = harness._designs, harness._collect
+
+    def spy_designs(channels, *args):
+        chunks.append(len(channels))
+        return designs(channels, *args)
+
+    def spy_collect(*args):
+        collected.append(collect(*args))
+        return collected[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "_CHUNK_ELEMENTS", size * keys * cfg.L * cfg.M * cfg.K)
+        m.setattr(harness, "_designs", spy_designs)
+        m.setattr(harness, "_collect", spy_collect)
+        rows = run_sweep(spec, surcharge=surcharge)
+    return rows, collected[0][0], chunks
 
 
 class TestRunTrial:
@@ -481,6 +503,72 @@ class TestRunSweep:
                                                r"\(csi=pilot\)") as info:
             run_sweep(spec)
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+class TestTrialChunks:
+    @pytest.mark.parametrize("variable, values, csi, surcharge", [
+        ("fronthaul_rate", [1.0, 4.0, 16.0], "perfect", 0.0),
+        ("fronthaul_rate", [1.0, 4.0, 16.0], "pilot", 0.0),
+        ("pilot_snr", [1.0, 10.0, 1000.0], "pilot", 0.0),
+        ("rho", [1.0, 100.0], "perfect", 0.0),
+        ("N", [1, 2, 4], "pilot", 0.0),
+        ("fronthaul_rate", [1.0, 4.0, 16.0], "perfect", LLOYD_MAX_RATE_PENALTY),
+        ("pilot_snr", [1.0, 10.0, 1000.0], "pilot", LLOYD_MAX_RATE_PENALTY),
+    ])
+    def test_rows_and_samples_do_not_depend_on_the_chunk_size(self, variable, values, csi,
+                                                              surcharge):
+        cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=PILOT_SNR[csi])
+        spec = _spec(cfg, sweep_variable=variable, values=values, trials=7, outputs=None,
+                     n_candidates=(1, 3))
+        runs = {size: _chunked_run(spec, size, surcharge) for size in (1, 3, 7)}
+        assert [runs[size][2] for size in (1, 3, 7)] == [[1] * 7, [3, 3, 1], [7]]
+        rows, samples, _ = runs[7]
+        for size in (1, 3):
+            assert runs[size][0] == rows
+            assert runs[size][1].keys() == samples.keys()
+            for name, x in samples.items():
+                assert np.array_equal(runs[size][1][name], x), name
+
+    def test_samples_are_c_contiguous(self):
+        cfg = _cfg(K=4, L=2, M=4, N=2, pilot_snr=10.0)
+        spec = _spec(cfg, sweep_variable="pilot_snr", values=[1.0, 100.0], trials=5,
+                     outputs=None, n_candidates=(1, 3))
+        for size in (1, 2, 5):
+            _, samples, _ = _chunked_run(spec, size)
+            assert samples
+            for (mode, n, metric), x in samples.items():
+                assert x.flags.c_contiguous, (mode, n, metric)
+                assert x.shape[:3] == (1, 2, 5)
+
+    def test_fewer_trials_are_a_prefix_across_a_chunk_boundary(self):
+        cfg = _cfg(pilot_snr=10.0)
+        spec = _spec(cfg, sweep_variable="pilot_snr", values=[1.0, 100.0], outputs=None,
+                     trials=4)
+        _, short, chunks = _chunked_run(spec, 3)
+        assert chunks == [3, 1]
+        _, full, chunks = _chunked_run(replace(spec, trials=7), 3)
+        assert chunks == [3, 3, 1]     # trial 3 opens the second chunk
+        for name, x in short.items():
+            assert np.array_equal(full[name][:, :, :4], x), name
+
+    def test_failure_at_one_trial_of_a_chunk_names_that_trial(self, monkeypatch):
+        cfg = _cfg()
+        bad = generate_realization(cfg, trial_stream(cfg.rng_seed, 4, 0)).H
+        real, chunks = harness.build_plan, []
+
+        def fails_at_trial_four(Q, H, R, *a, **k):
+            chunks.append(len(H))
+            if np.any(np.asarray(R) == 6.0) and any(np.array_equal(h[0], bad) for h in H):
+                raise ArithmeticError("synthetic failure")
+            return real(Q, H, R, *a, **k)
+        monkeypatch.setattr(harness, "build_plan", fails_at_trial_four)
+        spec = _spec(cfg, values=[2.0, 6.0], trials=6, outputs=("sum_capacity",))
+        with pytest.raises(RuntimeError, match=r"^trial 4 failed at fronthaul_rate=6.0 in mode "
+                                               r"'proposed' at N=2 \(csi=perfect\)$") as info:
+            run_sweep(spec)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        # the 6-trial chunk, trials 0-4 one at a time, then trial 4's two members alone
+        assert chunks == [6, 1, 1, 1, 1, 1, 1, 1]
 
 
 class TestCsv:
