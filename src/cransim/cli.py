@@ -83,20 +83,18 @@ def _cmd_trial(args, spec, surcharge):
     print(f"mode={args.mode} csi={record.csi_mode} trial={args.trial} seed={cfg.rng_seed}")
     print(f"K={cfg.K} L={cfg.L} M={cfg.M} N={cfg.N} rho={cfg.rho:.6g} "
           f"R={cfg.fronthaul_rate:.6g} pilot_snr={cfg.pilot_snr}")
-    sel = record.selection
-    if sel is not None:
-        for l, users in enumerate(sel.S):
-            print(f"receiver {l}: selected users {users}")
-        traj = np.array2string(sel.mi_trajectory, precision=4, separator=", ")
+    diag = record.diagnostics
+    if "users" in diag:
+        for l, picks in enumerate(diag["users"].tolist()):
+            print(f"receiver {l}: selected users {[k for k in picks if k >= 0]}")
+        traj = np.array2string(diag["mi_trajectory"], precision=4, separator=", ")
         print(f"mutual-information trajectory (bits): {traj}")
-    plan = record.plan
-    if plan is not None:
-        for l in range(len(plan.G)):
-            lam = np.array2string(plan.lam[l], precision=4, separator=", ")
-            rates = np.array2string(plan.rates[l], precision=4, separator=", ")
-            phi = np.array2string(plan.Phi[l], precision=4, separator=", ")
+    if "lam" in diag:
+        for l, active in enumerate(diag["active"]):
+            lam, rates, phi = (np.array2string(diag[name][l], precision=4, separator=", ")
+                               for name in ("lam", "rates", "Phi"))
             print(f"receiver {l}: eigenvalues {lam}")
-            print(f"receiver {l}: rates {rates} (active {plan.active[l]})")
+            print(f"receiver {l}: rates {rates} (active {active})")
             print(f"receiver {l}: quantisation noise {phi}")
     for name in ("sum_capacity", "lmmse_sum_capacity", "reduced_mi", "full_mi", "cutset"):
         if name in record.metrics:

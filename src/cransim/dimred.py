@@ -27,22 +27,27 @@ ARGMAX_TIE_REL_TOL = 1e-12
 class DimensionReductionResult:
     """Outcome of a greedy selection run.
 
-    S[l] is the ordered list of users selected at receiver l, and Q (L, M, N)
-    stacks the matching orthonormal bases: Q[l][:, i] is the direction picked
-    in round i. A receiver that was skipped in a round keeps a zero column
-    there; a skip repeats in every later round, so the real columns always
-    form a prefix and Q[..., :n] is the basis of the n-round run.
-    mi_trajectory holds the joint mutual information in bits after every
-    single selection step (N*L entries; a skipped receiver repeats the
-    previous value). A_final is the inverse (I + rho * sum H' Q Q' H)^{-1}
-    after the last step. A batched run puts its batch axes in front of Q,
-    mi_trajectory and A_final, and S holds one such list per element.
+    users (L, N) holds the user picked at receiver l in round i, -1 for a
+    round the receiver was skipped, and Q (L, M, N) stacks the matching
+    orthonormal bases: Q[l][:, i] is the direction picked in round i, a zero
+    column for a skip. A skip repeats in every later round, so the real
+    picks and columns always form a prefix and Q[..., :n] is the basis of
+    the n-round run. mi_trajectory holds the joint mutual information in
+    bits after every single selection step (N*L entries; a skipped receiver
+    repeats the previous value). A_final is the inverse
+    (I + rho * sum H' Q Q' H)^{-1} after the last step. A batched run puts
+    its batch axes in front of every field.
     """
 
-    S: list
+    users: np.ndarray
     Q: np.ndarray
     mi_trajectory: np.ndarray
     A_final: np.ndarray
+
+    @property
+    def S(self):
+        """Ordered per-receiver user lists without skips (nested one level per batch axis)."""
+        return _user_lists(self.users.tolist(), self.users.ndim - 2)
 
     @property
     def mi(self):
@@ -111,8 +116,7 @@ def mfgs_select(H, rho, N):
     array; any leading axes of H and the shape of rho broadcast to a batch of
     independent problems run in lockstep, each with its own running inverse,
     candidates, skips and ties. The fields of the result then carry the batch
-    axes in front, and S is a nested list with one per-receiver list per
-    element. An unbatched call is the batch of one.
+    axes in front. An unbatched call is the batch of one.
     """
     H = np.asarray(H)
     L, M, K = H.shape[-3:]
@@ -175,7 +179,7 @@ def mfgs_select(H, rho, N):
             Q[:, l, :, rnd] = q
 
     return DimensionReductionResult(
-        S=_user_lists(picks.reshape(batch + (L, N)).tolist(), len(batch)),
+        users=picks.reshape(batch + (L, N)),
         Q=Q.reshape(batch + Q.shape[1:]),
         mi_trajectory=np.cumsum(gains, axis=-1).reshape(batch + gains.shape[1:]),
         A_final=A.reshape(batch + A.shape[1:]))
@@ -191,16 +195,14 @@ def _user_lists(picks, depth):
 def truncate_selection(result, H, rho, n):
     """First-n-rounds view of an unbatched selection run (valid by the prefix property).
 
-    Slices S, Q and the MI trajectory to n rounds and recomputes the final
-    inverse directly for the truncated basis.
+    Slices the picks, Q and the MI trajectory to n rounds and recomputes the
+    final inverse directly for the truncated basis.
     """
-    L = len(result.S)
-    full_rounds = min(len(s) for s in result.S)
+    full_rounds = min(map(len, result.S))
     if not 1 <= n <= full_rounds:
         raise ValueError(f"n must satisfy 1 <= n <= {full_rounds}")
-    S = [list(s[:n]) for s in result.S]
     Q = result.Q[..., :n]
     A = np.linalg.inv(hermitize(_gram(adjoint(Q) @ H, rho)))
-    return DimensionReductionResult(S=S, Q=Q,
-                                    mi_trajectory=result.mi_trajectory[:n * L].copy(),
+    return DimensionReductionResult(users=result.users[:, :n].copy(), Q=Q,
+                                    mi_trajectory=result.mi_trajectory[:n * len(Q)].copy(),
                                     A_final=hermitize(A))

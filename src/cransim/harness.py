@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import capacity as cap
-from .compression import CompressionPlan, build_plan, check_surcharge
+from .compression import build_plan, check_surcharge
 from .csi import CsiModel, estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
@@ -76,6 +76,8 @@ class SweepSpec:
             raise ValueError(f"sweep values must be real numbers, got {self.values!r}")
         if not is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not self.outputs:
+            raise ValueError("outputs must be non-empty")
         unknown = set(self.outputs) - set(OUTPUTS)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUTS}")
@@ -94,16 +96,11 @@ class SweepSpec:
 
 @dataclass
 class TrialRecord:
-    """Metrics of one (realization, mode) evaluation, reproducible from (config, seed, trial)."""
+    """One (realization, mode) evaluation: CSI label, metrics, selection and plan diagnostics."""
 
-    trial: int
-    seed: int
-    config: SystemConfig
-    mode: str
     csi_mode: str
     metrics: dict
-    selection: DimensionReductionResult | None = None
-    plan: CompressionPlan | None = None
+    diagnostics: dict
 
 
 @dataclass
@@ -200,12 +197,6 @@ def _designs(channels, keys, seed, trials, nmax, baseline):
                    baseline_Q=signal_space_basis(H) if baseline else None, **extra)
 
 
-def _element(batched):
-    """The (trial 0, key 0) element of a batched selection or plan (None stays None)."""
-    return batched and replace(batched, **{f.name: getattr(batched, f.name)[0][0]
-                                           for f in fields(batched)})
-
-
 # Memory budget of a trial chunk, in stacked (trial, key) channel elements: (8,4,8,2)
 # sweeps run in one chunk, (64,32,16,4) trials (at the budget alone) one at a time.
 _CHUNK_ELEMENTS = 2 ** 15
@@ -213,6 +204,7 @@ _CHUNK_ELEMENTS = 2 ** 15
 _CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}
 _LMMSE_METRICS = {"lmmse_sum_capacity", "user_capacity", "sqinr"}
 _TRIAL_METRICS = _CAPACITY_METRICS | {"reduced_mi", "full_mi", "mi_proportion", "cutset"}
+_DIAGNOSTICS = {"users", "mi_trajectory", "lam", "rates", "Phi", "active"}
 
 
 def _n_column(mode, config):
@@ -224,20 +216,25 @@ def _n_column(mode, config):
 def _evaluate(design, mode, n, R, wanted, surcharge):
     """The metrics in `wanted` for one (mode, n) on every key of a design, at every rate R.
 
-    R is a scalar or a 1-D array of rates; each metric gets R's axes, then
-    the design's key axes, in front of its own. Returns (metrics, plan). The
-    harness's only plan and capacity calls, one for all rates and keys, made
-    only when a capacity metric is wanted.
+    R is a 1-D array of rates; each metric gets R's axis, then the design's
+    (trial, key) axes, in front of its own. The diagnostics are per-receiver
+    arrays: a selecting mode's picks "users" (L, n) and "mi_trajectory"
+    (n*L,), a quantising mode's plan "lam", "rates", "Phi" (L, n) and
+    "active" (L,). The harness's only plan and capacity calls, one for all
+    rates and keys, made only when a capacity metric is wanted.
     """
     rho, H, full, sel = design.rho, design.H, design.full_mi, design.selection
     L, R = H.shape[-3], np.asarray(R, dtype=float)
     out = {"full_mi": full, "cutset": np.minimum.outer(R * L, design.cutset_mi)}
     if mode != "cutset":
-        out["reduced_mi"] = (full if mode == "local_baseline"   # lossless basis
-                             else sel.mi_trajectory[..., n * L - 1])
+        if mode == "local_baseline":
+            out["reduced_mi"] = full    # lossless basis
+        else:
+            out["reduced_mi"] = sel.mi_trajectory[..., n * L - 1]
+            out.update(users=sel.users[None, ..., :n],
+                       mi_trajectory=sel.mi_trajectory[None, ..., :n * L])
         out["mi_proportion"] = np.divide(out["reduced_mi"], full, out=np.zeros(rho.shape),
                                          where=full > 0)
-    plan = None
     if wanted & _CAPACITY_METRICS:
         Q = design.baseline_Q if mode == "local_baseline" else sel.Q[..., :n]
         if mode == "unquantized":
@@ -247,6 +244,7 @@ def _evaluate(design, mode, n, R, wanted, surcharge):
             plan = build_plan(Q, H, R, rho, H_true=design.H_true, omega=design.omega,
                               surcharge=surcharge)
             G, phi = plan.G, plan.Phi
+            out.update(lam=plan.lam[None], rates=plan.rates, Phi=phi, active=plan.active)
         if "sum_capacity" in wanted:
             out["sum_capacity"] = cap.sum_capacity(G, phi, rho)
         if wanted & _LMMSE_METRICS:
@@ -254,7 +252,7 @@ def _evaluate(design, mode, n, R, wanted, surcharge):
             out["lmmse_sum_capacity"] = np.sum(out["user_capacity"], axis=-1)
     shape = R.shape + rho.shape
     return {m: np.broadcast_to(v, shape + np.shape(v)[len(shape):])
-            for m, v in out.items() if m in wanted}, plan
+            for m, v in out.items() if m in wanted}
 
 
 def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
@@ -262,29 +260,22 @@ def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
 
     The realization is reproduced from (config.rng_seed, trial), so calling
     with different modes but the same trial index evaluates the same channels.
-    It is the sweep kernel's batch of one: one trial, one key and a scalar
-    rate, its selection and plan unstacked (None in a mode that has none).
+    It is a one-trial sweep: the kernel's samples of the config's single cell
+    make the record's metrics and diagnostics, and a failure is the kernel's
+    RuntimeError naming the trial, the failing step and the CSI mode.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if not is_integer(trial) or trial < 0:
         raise ValueError(f"trial must be a non-negative integer, got {trial!r}")
-    check_surcharge(surcharge)
-    csi = csi_mode(config.pilot_snr)
-    if selects := mode in ("proposed", "unquantized"):
+    if mode in ("proposed", "unquantized"):
         _check_dimension_advice(config)
-    channels = generate_realization(config, trial_stream(config.rng_seed, trial, 0))
-    n = _n_column(mode, config)
-    wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS
-    try:
-        design = _designs([channels], [(config.pilot_snr, config.rho)], config.rng_seed,
-                          [trial], n if selects else 0, mode == "local_baseline")
-        metrics, plan = _evaluate(design, mode, n, config.fronthaul_rate, wanted, surcharge)
-    except Exception as exc:
-        raise RuntimeError(f"trial {trial} failed in mode '{mode}' (csi={csi})") from exc
-    return TrialRecord(trial=trial, seed=config.rng_seed, config=config, mode=mode,
-                       csi_mode=_CSI_LABELS[csi], metrics={m: v[0, 0] for m, v in metrics.items()},
-                       selection=_element(design.selection), plan=_element(plan))
+    wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS | _DIAGNOSTICS
+    samples, _ = _collect(config, [config], [f"R={config.fronthaul_rate}, rho={config.rho}"],
+                          range(trial, trial + 1), surcharge, {mode: wanted}, [])
+    metrics = {metric: x[0, 0, 0] for (_, _, metric), x in samples.items()}
+    diagnostics = {m: metrics.pop(m) for m in list(metrics) if m in _DIAGNOSTICS}
+    return TrialRecord(_CSI_LABELS[csi_mode(config.pilot_snr)], metrics, diagnostics)
 
 
 def best_dimension(config, R, n_candidates, trials, surcharge=0.0):
@@ -313,14 +304,14 @@ def mi_proportion_sweep(config, rho_values, n_values, trials):
     rhos = SweepSpec(config, "rho", rho_values, trials, outputs=("mi_proportion",)).configs()
     configs = [replace(cfg, N=n) for cfg in rhos for n in n_values]
     samples, at = _collect(config, configs, [f"rho={c.rho}, N={c.N}" for c in configs],
-                           trials, 0.0, {"unquantized": {"mi_proportion"}}, [])
+                           range(trials), 0.0, {"unquantized": {"mi_proportion"}}, [])
     means = [np.mean(samples[("unquantized", c.N, "mi_proportion")][at[i]])
              for i, c in enumerate(configs)]
     return np.reshape(means, (len(rho_values), len(n_values)))
 
 
 def _collect(base, configs, labels, trials, surcharge, read, cands):
-    """Paired per-trial samples of every evaluation the configs need.
+    """Paired per-trial samples of every evaluation the configs need, over a range of trials.
 
     read maps each mode to the metrics its rows read; each best-N candidate
     in cands adds a proposed sum capacity. Trials run in chunks of at most
@@ -330,12 +321,13 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
     all the configs' fronthaul rates and CSI keys, which wastes no cell as
     every caller's configs form a product grid over (rate, key, N) in one CSI
     mode. Samples do not depend on the chunk size. Returns (samples, at):
-    samples maps (mode, n, metric) to a contiguous array of shape
-    (rates, keys, trials[, users]), and config i reads cell at[i]. A failing
-    chunk is re-run one trial at a time, and a failing trial re-raised as a
-    RuntimeError naming it, the labels of the configs in the failing step
-    (all of them for the design step; in a failing group, the member that
-    fails alone at its rate and key), the mode and the CSI mode.
+    samples maps (mode, n, metric) to a contiguous array of the metric's
+    dtype, shaped (rates, keys, trials) followed by the metric's own axes,
+    and config i reads cell at[i]. A failing chunk is re-run one trial at a
+    time, and a failing trial re-raised as a RuntimeError naming it, the
+    labels of the configs in the failing step (all of them for the design
+    step; in a failing group, the member that fails alone at its rate and
+    key), the mode and the CSI mode.
     """
     check_surcharge(surcharge)
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
@@ -356,20 +348,21 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
             wanted |= metrics
             members[ci] = None
 
-    samples = {}    # (mode, n, metric) -> array of shape (rates, keys, trials[, users])
+    samples = {}    # (mode, n, metric) -> array of shape (rates, keys, trials, ...)
     size = max(1, _CHUNK_ELEMENTS // (len(keys) * base.L * base.M * base.K))
-    todo = [range(t, min(t + size, trials)) for t in reversed(range(0, trials, size))]  # a stack
+    todo = [trials[i:i + size] for i in reversed(range(0, len(trials), size))]  # a stack
     while todo:
         chunk, step = todo.pop(), None      # step: the failing (mode, n) group, None in design
+        cols = slice(chunk.start - trials.start, chunk.stop - trials.start)
         channels = [generate_realization(base, trial_stream(base.rng_seed, t, 0)) for t in chunk]
         try:
             design = _designs(channels, keys, base.rng_seed, chunk, nmax, baseline)
             for step in groups:
-                metrics, _ = _evaluate(design, *step, rates, groups[step][0], surcharge)
+                metrics = _evaluate(design, *step, rates, groups[step][0], surcharge)
                 for metric, value in metrics.items():
                     x = samples.setdefault(step + (metric,), np.empty(
-                        (len(rates), len(keys), trials) + value.shape[3:]))
-                    x[:, :, chunk.start:chunk.stop] = value.swapaxes(1, 2)
+                        (len(rates), len(keys), len(trials)) + value.shape[3:], value.dtype))
+                    x[:, :, cols] = value.swapaxes(1, 2)
         except Exception as exc:
             if len(chunk) > 1:      # rare path: re-run the chunk one trial at a time
                 todo += [range(t, t + 1) for t in reversed(chunk)]
@@ -422,7 +415,7 @@ def run_sweep(spec, surcharge=0.0):
         for cfg in configs:
             _check_dimension_advice(cfg)
     samples, at = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
-                           spec.trials, surcharge, read, cands)
+                           range(spec.trials), surcharge, read, cands)
     stats = {name: _mean_p05(x) for name, x in samples.items()}
 
     rows = []

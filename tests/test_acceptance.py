@@ -38,8 +38,8 @@ def _paired_samples(cfg, R_values, rho_values, cands, trials):
     """
     configs = [replace(cfg, fronthaul_rate=R, rho=rho) for R in R_values for rho in rho_values]
     samples, _ = _collect(cfg, configs, [f"R={c.fronthaul_rate}, rho={c.rho}" for c in configs],
-                          trials, 0.0, {"local_baseline": {"sum_capacity"}, "cutset": {"cutset"}},
-                          cands)
+                          range(trials), 0.0,
+                          {"local_baseline": {"sum_capacity"}, "cutset": {"cutset"}}, cands)
     cap = np.stack([samples[("proposed", n, "sum_capacity")] for n in cands], axis=2)
     return (cap, samples[("local_baseline", cfg.max_components, "sum_capacity")],
             samples[("cutset", 0, "cutset")])

@@ -5,7 +5,7 @@ import pytest
 
 from cransim import cli
 from cransim.cli import main
-from cransim.harness import CONFIG_SCHEMA, read_csv
+from cransim.harness import CONFIG_SCHEMA, MODES, read_csv
 
 
 @pytest.fixture
@@ -85,6 +85,22 @@ class TestTrialCommand:
         assert main(["trial", "--config", config_path, "--mode", "cutset",
                      "--csi", "perfect"]) == 0
         assert "cutset" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("csi, label", [("perfect", "perfect"), ("pilot", "lower-bound")])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blocks_follow_the_mode(self, config_path, capsys, mode, csi, label):
+        assert main(["trial", "--config", config_path, "--mode", mode, "--csi", csi,
+                     "--trial", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"mode={mode} csi={label} trial=2 seed=9\n")
+        selects = mode in ("proposed", "unquantized")
+        quantises = mode in ("proposed", "local_baseline")
+        assert out.count("selected users") == 2 * selects      # one line per receiver
+        assert out.count("mutual-information trajectory") == selects
+        for block in ("eigenvalues", "rates", "quantisation noise"):
+            assert out.count(block) == 2 * quantises
+        assert ("sum_capacity: " in out) == (mode != "cutset")
+        assert "cutset: " in out and "full_mi: " in out
 
 
 class TestValidateCommand:
@@ -167,6 +183,8 @@ class TestConfigErrors:
         ([{"schema": CONFIG_SCHEMA}], [], "config must be a JSON object, got list"),
         ({"schema": CONFIG_SCHEMA, "sweep": {"values": 3}}, [],
          "sweep values must be a list, got 3"),
+        ({"schema": CONFIG_SCHEMA, "sweep": {"values": [1.0], "outputs": []}}, [],
+         "outputs must be non-empty"),
         ({"schema": CONFIG_SCHEMA, "system": {"rho": "x"}, "sweep": {"values": [1.0]}}, [],
          "rho must be a finite real number, got 'x'"),
         ({"schema": CONFIG_SCHEMA, "sweep": {"variable": "pilot_snr",

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cransim import harness
-from cransim.compression import LLOYD_MAX_RATE_PENALTY
+from cransim import cli, harness
+from cransim.compression import LLOYD_MAX_RATE_PENALTY, build_plan
+from cransim.dimred import mfgs_select
 from cransim.harness import (CONFIG_SCHEMA, SweepSpec, best_dimension, emit_csv,
                              load_sweep_spec, mi_proportion_sweep, read_csv, run_sweep,
                              run_trial, sweep_spec_from_dict, trial_stream)
@@ -101,12 +102,16 @@ class TestRunTrial:
         ("proposed", True, True), ("local_baseline", False, True),
         ("unquantized", True, False), ("cutset", False, False)])
     def test_record_keeps_selection_and_plan(self, mode, has_selection, has_plan):
-        rec = run_trial(_cfg(), mode=mode, trial=0)
-        assert (rec.selection is not None, rec.plan is not None) == (has_selection, has_plan)
+        diag = run_trial(_cfg(), mode=mode, trial=0).diagnostics
+        selection, plan = {"users", "mi_trajectory"}, {"lam", "rates", "Phi", "active"}
+        assert set(diag) == (selection if has_selection else set()) | (plan if has_plan else set())
         if has_selection:
-            assert rec.selection.mi_trajectory.shape == (2 * 3,)
+            assert diag["users"].shape == (3, 2)
+            assert diag["mi_trajectory"].shape == (2 * 3,)
         if has_plan:
-            assert len(rec.plan.G) == 3
+            n = 2 if mode == "proposed" else 4
+            assert all(diag[name].shape == (3, n) for name in ("lam", "rates", "Phi"))
+            assert diag["active"].shape == (3,)
 
     def test_low_dimension_warning(self):
         cfg = _cfg(K=6, L=1, M=6, N=2)   # ceil(K/L) = 6 > N
@@ -148,7 +153,13 @@ class TestRunTrial:
         def boom(*a, **k):
             raise ArithmeticError("synthetic failure")
         monkeypatch.setattr(harness, "mfgs_select", boom)
-        with pytest.raises(RuntimeError, match="trial 4 failed in mode 'proposed'"):
+        with pytest.raises(RuntimeError, match=r"trial 4 failed at .* in the design step "
+                                               r"\(csi=perfect\)"):
+            run_trial(_cfg(), trial=4)
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "build_plan", boom)
+        with pytest.raises(RuntimeError, match=r"trial 4 failed at .* in mode 'proposed' at "
+                                               r"N=2 \(csi=perfect\)"):
             run_trial(_cfg(), trial=4)
 
     def test_high_pilot_snr_converges_to_perfect_pipeline(self):
@@ -156,9 +167,47 @@ class TestRunTrial:
         perfect = run_trial(replace(cfg, pilot_snr="perfect"), trial=2)
         pilot = run_trial(cfg, trial=2)
         assert pilot.csi_mode == "lower-bound"
-        assert pilot.selection.S == perfect.selection.S
+        assert np.array_equal(pilot.diagnostics["users"], perfect.diagnostics["users"])
         assert abs(pilot.metrics["sum_capacity"]
                    - perfect.metrics["sum_capacity"]) < 1e-2
+
+    @pytest.mark.parametrize("trial", [0, 3])
+    def test_diagnostics_equal_the_public_pipeline(self, trial):
+        cfg = _cfg()
+        diag = run_trial(cfg, mode="proposed", trial=trial).diagnostics
+        H = generate_realization(cfg, trial_stream(cfg.rng_seed, trial)).H
+        sel = mfgs_select(H, cfg.rho, cfg.N)
+        assert [[k for k in row if k >= 0] for row in diag["users"].tolist()] == sel.S
+        assert np.array_equal(diag["users"], sel.users)
+        np.testing.assert_allclose(diag["mi_trajectory"], sel.mi_trajectory, rtol=1e-12)
+        plan = build_plan(sel.Q, H, cfg.fronthaul_rate, cfg.rho)
+        for name in ("lam", "rates", "Phi"):
+            np.testing.assert_allclose(diag[name], getattr(plan, name), rtol=1e-12, atol=0)
+        assert np.array_equal(diag["active"], plan.active)
+
+    def test_skipped_receiver_shows_in_diagnostics_not_in_printed_users(
+            self, monkeypatch, tmp_path, capsys):
+        def rank_deficient(config, rng):
+            # receiver 0 sees every user along one direction: its round 1 is skipped
+            channels = generate_realization(config, rng)
+            channels.H[0] = np.outer(channels.H[0, :, 0], np.arange(1.0, config.K + 1))
+            return channels
+        monkeypatch.setattr(harness, "generate_realization", rank_deficient)
+        cfg = _cfg()
+        diag = run_trial(cfg, mode="proposed", trial=1).diagnostics
+        users, traj = diag["users"], diag["mi_trajectory"]
+        assert users[0, 1] == -1 and np.all(users[1:] >= 0) and users[0, 0] >= 0
+        assert traj[cfg.L] == traj[cfg.L - 1]   # receiver 0's round-1 step adds nothing
+        assert diag["active"][0] == 1 and np.isinf(diag["Phi"][0, 1])
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema": CONFIG_SCHEMA, "system": {
+            "K": cfg.K, "L": cfg.L, "M": cfg.M, "N": cfg.N, "fronthaul_rate": 6.0,
+            "rng_seed": cfg.rng_seed}, "sweep": {"values": [6.0]}}))
+        assert cli.main(["trial", "--config", str(path), "--trial", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"receiver 0: selected users [{users[0, 0]}]\n" in out
+        assert f"receiver 1: selected users [{users[1, 0]}, {users[1, 1]}]\n" in out
 
     def test_imperfect_csi_bound_below_perfect_on_average(self):
         cfg = _cfg(K=6, L=3, M=4, N=2, pilot_snr=5.0)
@@ -261,6 +310,8 @@ class TestSweepSpec:
             _spec(outputs=("sum_capacity", "nonsense"))
         with pytest.raises(ValueError):
             _spec(outputs=("best_n",))          # requires candidates
+        with pytest.raises(ValueError, match="outputs must be non-empty"):
+            _spec(outputs=())
         with pytest.raises(ValueError):
             _spec(outputs=("best_n",), n_candidates=(0, 2))
         with pytest.raises(ValueError):
