@@ -1,6 +1,7 @@
 """Command-line entry point: `cransim {sweep,trial,validate}`."""
 
 import argparse
+import json
 import logging
 import sys
 from dataclasses import replace
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .compression import LLOYD_MAX_RATE_PENALTY
-from .harness import (CSI_MODES, MODES, PERFECT_CSI, csi_mode, emit_csv, load_sweep_spec,
-                      run_sweep, run_trial)
+from .harness import (CSI_MODES, MODES, PERFECT_CSI, csi_mode, emit_csv, run_sweep,
+                      run_trial, sweep_spec_from_dict, system_config_from_dict)
 from .validation import run_validation
 
 
@@ -48,21 +49,24 @@ def build_parser():
     return parser
 
 
-def _resolved(spec, args):
-    base = spec.base
+def _resolved(args):
+    sweep = args.command == "sweep"
+    with open(args.config) as f:
+        spec = (sweep_spec_from_dict if sweep else system_config_from_dict)(json.load(f))
+    base = spec.base if sweep else spec
     if args.seed is not None:
         base = replace(base, rng_seed=args.seed)
     if args.csi == "perfect":
         base = replace(base, pilot_snr=PERFECT_CSI)
-    spec = replace(spec, base=base)
-    if getattr(args, "trials", None) is not None:
+    spec = replace(spec, base=base) if sweep else base
+    if sweep and args.trials is not None:
         spec = replace(spec, trials=args.trials)
-    runs = spec.configs() if args.command == "sweep" else [base]
+    runs = spec.configs() if sweep else [base]
     if args.csi is not None and any(csi_mode(cfg.pilot_snr) != args.csi for cfg in runs):
         raise ValueError(f"csi mode '{args.csi}' requires "
                          + ("a numeric pilot_snr in the config" if args.csi == "pilot"
                             else "pilot_snr 'perfect', which a pilot_snr sweep replaces"))
-    if args.command == "sweep":
+    if sweep:
         out = Path(args.output)
         if out.is_dir() or not out.parent.is_dir():
             raise ValueError(f"--output must be a file in an existing directory, got {str(out)!r}")
@@ -76,8 +80,7 @@ def _cmd_sweep(args, spec, surcharge):
     return 0
 
 
-def _cmd_trial(args, spec, surcharge):
-    cfg = spec.base
+def _cmd_trial(args, cfg, surcharge):
     record = run_trial(cfg, mode=args.mode, trial=args.trial, surcharge=surcharge)
 
     print(f"mode={args.mode} csi={record.csi_mode} trial={args.trial} seed={cfg.rng_seed}")
@@ -122,7 +125,7 @@ def main(argv=None):
         return _cmd_validate(args)
     command = _cmd_sweep if args.command == "sweep" else _cmd_trial
     try:
-        return command(args, *_resolved(load_sweep_spec(args.config), args))
+        return command(args, *_resolved(args))
     except (OSError, ValueError) as exc:    # json.JSONDecodeError is a ValueError
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

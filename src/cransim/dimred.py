@@ -85,18 +85,18 @@ def signal_space_basis(H):
 
 
 def rank1_update(A, H, q, rho):
-    """Refresh A = (I + rho * sum of filtered outer products)^{-1} after adding filter q.
+    """Refresh A = (I + rho * sum of filtered outer products)^{-1} in place after adding filter q.
 
-    Sherman-Morrison on the added term rho * H'q q'H:
-    A' = A - (A H'q)(A H'q)' / (1/rho + q'H A H'q).
-    Works on stacks: A (..., K, K), H (..., M, K), q (..., M), and rho a
-    scalar or an array over the batch shape.
+    Sherman-Morrison on the added term rho * uu', u = H'q, for Hermitian A:
+    A -= (w / d) w' with w = Au and d = 1/rho + u'w; the outer product is its
+    one K x K array. Works on stacks: A (..., K, K) writable and complex,
+    H (..., M, K), q (..., M), and rho a scalar or an array over the batch.
     """
     u = adjoint(H) @ np.asarray(q, dtype=complex)[..., None]
-    Au = A @ u
-    uA = adjoint(Au)                      # = u'A, as A is Hermitian
-    denom = 1.0 / np.asarray(rho) + (uA @ u).real[..., 0, 0]
-    return A - (Au @ uA) / denom[..., None, None]
+    w = A @ u
+    d = 1.0 / np.asarray(rho)[..., None, None] + (adjoint(u) @ w).real
+    A -= (w / d) @ adjoint(w)
+    return A
 
 
 def mfgs_select(H, rho, N):
@@ -107,10 +107,11 @@ def mfgs_select(H, rho, N):
         (h' P H A H' P h) / (h' P h)
     where P projects out its already chosen directions. The winning projected
     channel is normalized into the next Gram-Schmidt basis vector, the running
-    inverse A gets a rank-1 update, and the joint MI is recorded. Ties within
-    a relative window go to the lowest user index. Candidates whose projection
-    is numerically degenerate are excluded; if none remain the receiver is
-    skipped for the round with a logged warning and a zero column in Q.
+    inverse A gets an in-place rank-1 update, and the gain is recorded (A is
+    hermitized once, into A_final). Ties within a relative window go to the
+    lowest user index. Candidates whose projection is numerically degenerate
+    are excluded; if none remain the receiver is skipped for the round with a
+    logged warning and a zero column in Q.
 
     H is the (..., L, M, K) stack of channel matrices and rho a scalar or an
     array; any leading axes of H and the shape of rho broadcast to a batch of
@@ -130,7 +131,6 @@ def mfgs_select(H, rho, N):
     rho = np.full(batch, rho).reshape(-1)
     B = len(rho)
 
-    Hh = adjoint(H)
     W = H.astype(complex)                    # candidates projected off the chosen directions
     A = np.eye(K, dtype=complex)[None].repeat(B, axis=0)
     avail = np.ones((B, L, K), dtype=bool)
@@ -142,10 +142,10 @@ def mfgs_select(H, rho, N):
 
     for rnd in range(N):
         for l in range(L):
-            Wl = W[:, l]
+            Hl, Wl = H[:, l], W[:, l]
             Wc = Wl.conj()
             pnorm2 = (Wc * Wl).real.sum(axis=-2)
-            num = (Wc * (H[:, l] @ A @ Hh[:, l] @ Wl)).real.sum(axis=-2)
+            num = (Wc * (Hl @ A @ adjoint(Hl) @ Wl)).real.sum(axis=-2)
             eligible = pnorm2 > DEGENERATE_PROJECTION_TOL
             eligible &= avail[:, l]
             metric.fill(-np.inf)
@@ -171,8 +171,8 @@ def mfgs_select(H, rho, N):
                 chosen[skip] = -1
             q = Wl.swapaxes(1, 2)[at, chosen] / norm[:, None]      # C-ordered (B, M)
 
-            gains[:, rnd * L + l] = np.log2(1.0 + rho * gain)
-            A = hermitize(rank1_update(A, H[:, l], q, rho))
+            gains[:, rnd * L + l] = gain
+            rank1_update(A, Hl, q, rho)
             Wl -= q[:, :, None] * (q.conj()[:, None, :] @ Wl)
             avail[at, l, chosen] = False
             picks[at, l, rnd] = chosen
@@ -181,8 +181,9 @@ def mfgs_select(H, rho, N):
     return DimensionReductionResult(
         users=picks.reshape(batch + (L, N)),
         Q=Q.reshape(batch + Q.shape[1:]),
-        mi_trajectory=np.cumsum(gains, axis=-1).reshape(batch + gains.shape[1:]),
-        A_final=A.reshape(batch + A.shape[1:]))
+        mi_trajectory=np.cumsum(np.log2(1.0 + rho[:, None] * gains),
+                                axis=-1).reshape(batch + gains.shape[1:]),
+        A_final=hermitize(A).reshape(batch + A.shape[1:]))
 
 
 def _user_lists(picks, depth):

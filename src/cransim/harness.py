@@ -7,7 +7,6 @@ across modes, sweep values and CSI settings.
 """
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -169,19 +168,20 @@ class _Design:
     baseline_Q: np.ndarray | None = None
 
 
-def _designs(channels, keys, seed, trials, nmax, baseline):
+def _designs(trials, base, keys, nmax, baseline):
     """The _Design of one CSI mode's (pilot_snr, rho) keys on the realizations of `trials`.
 
-    Estimation (each trial from its own lane-1 pilot noise), whitening,
-    selection and the full MI each run once over the (trial, key) stack, and
-    the cut-set MI of the true channels once per distinct rho. nmax = 0 skips
-    selection.
+    Each trial draws its channels from its own lane-0 stream and its pilot
+    noise from lane 1. Estimation, whitening, selection and the full MI each
+    run once over the (trial, key) stack, and the cut-set MI of the true
+    channels once per distinct rho. nmax = 0 skips selection.
     """
     pilot, rho = map(np.array, zip(*keys))
+    channels = [generate_realization(base, trial_stream(base.rng_seed, t, 0)) for t in trials]
     H_true = np.stack([c.H for c in channels])[:, None]
-    rho, extra = np.broadcast_to(rho.astype(float), (len(channels), len(keys))), {}
+    rho, extra = np.broadcast_to(rho.astype(float), (len(trials), len(keys))), {}
     if csi_mode(pilot[0]) == "pilot":
-        models = [estimate_channels(c, pilot, trial_stream(seed, t, 1))
+        models = [estimate_channels(c, pilot, trial_stream(base.rng_seed, t, 1))
                   for c, t in zip(channels, trials)]
         H, omega = whiten(CsiModel(np.stack([m.H_hat for m in models]),
                                    np.stack([m.err_var for m in models])), rho)
@@ -198,8 +198,8 @@ def _designs(channels, keys, seed, trials, nmax, baseline):
 
 
 # Memory budget of a trial chunk, in stacked (trial, key) channel elements: (8,4,8,2)
-# sweeps run in one chunk, (64,32,16,4) trials (at the budget alone) one at a time.
-_CHUNK_ELEMENTS = 2 ** 15
+# sweeps run in one chunk, and two (64,32,16,4) trials share one greedy run's steps.
+_CHUNK_ELEMENTS = 2 ** 16
 
 _CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}
 _LMMSE_METRICS = {"lmmse_sum_capacity", "user_capacity", "sqinr"}
@@ -354,9 +354,8 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
     while todo:
         chunk, step = todo.pop(), None      # step: the failing (mode, n) group, None in design
         cols = slice(chunk.start - trials.start, chunk.stop - trials.start)
-        channels = [generate_realization(base, trial_stream(base.rng_seed, t, 0)) for t in chunk]
         try:
-            design = _designs(channels, keys, base.rng_seed, chunk, nmax, baseline)
+            design = _designs(chunk, base, keys, nmax, baseline)
             for step in groups:
                 metrics = _evaluate(design, *step, rates, groups[step][0], surcharge)
                 for metric, value in metrics.items():
@@ -375,7 +374,7 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
             for ci in failed:   # re-run each member alone to name the culprit
                 r, k = at[ci]
                 try:
-                    one = _designs(channels, [keys[k]], base.rng_seed, chunk, nmax, baseline)
+                    one = _designs(chunk, base, [keys[k]], nmax, baseline)
                     _evaluate(one, mode, n, [rates[r]], wanted, surcharge)
                 except Exception as single:
                     exc, failed = single, [ci]
@@ -386,10 +385,18 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
     return samples, at
 
 
-def _mean_p05(x):
-    """Per-cell (mean, p05) of a (rates, keys, trials[, users]) sample, users pooled trial-major."""
-    x = x.reshape(x.shape[:2] + (-1,))     # a view: each cell reduces as a 1-D sample would
-    return np.mean(x, axis=-1), np.percentile(x, 5.0, axis=-1)
+def _mean_p05(samples):
+    """Per-cell (mean, p05) of the (rates, keys, trials[, users]) samples, users pooled trial-major.
+
+    One stacked reduction per reduced shape; each cell reduces as a 1-D sample would.
+    """
+    stacks, stats = {}, {}
+    for name, x in samples.items():
+        stacks.setdefault(x.shape[:2] + (x[0, 0].size,), {})[name] = x
+    for shape, stack in stacks.items():
+        x = np.stack([s.reshape(shape) for s in stack.values()])
+        stats.update(zip(stack, zip(np.mean(x, axis=-1), np.percentile(x, 5.0, axis=-1))))
+    return stats
 
 
 def run_sweep(spec, surcharge=0.0):
@@ -416,7 +423,7 @@ def run_sweep(spec, surcharge=0.0):
             _check_dimension_advice(cfg)
     samples, at = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
                            range(spec.trials), surcharge, read, cands)
-    stats = {name: _mean_p05(x) for name, x in samples.items()}
+    stats = _mean_p05(samples)
 
     rows = []
     for ci, (v, cfg) in enumerate(zip(spec.values, configs)):
@@ -472,12 +479,11 @@ def read_csv(path):
 _SYSTEM_DB_ALTERNATES = {"rho_db": "rho", "pilot_snr_db": "pilot_snr"}
 
 
-def sweep_spec_from_dict(data):
-    """Build a SweepSpec from a parsed config mapping (see CONFIG_SCHEMA).
+def system_config_from_dict(data):
+    """Build the SystemConfig of a parsed config mapping (see CONFIG_SCHEMA), reading no sweep.
 
     The "system" section mirrors SystemConfig fields; `rho_db` / `pilot_snr_db`
-    may replace their linear counterparts. The "sweep" section mirrors
-    SweepSpec. Unknown keys are rejected.
+    may replace their linear counterparts. Unknown keys are rejected.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
@@ -504,8 +510,15 @@ def sweep_spec_from_dict(data):
     unknown = set(system) - valid_fields
     if unknown:
         raise ValueError(f"unknown system keys {sorted(unknown)}")
-    base = SystemConfig(**system)
+    return SystemConfig(**system)
 
+
+def sweep_spec_from_dict(data):
+    """Build a SweepSpec from a parsed config mapping (see CONFIG_SCHEMA).
+
+    The "sweep" section mirrors SweepSpec; unknown keys are rejected.
+    """
+    base = system_config_from_dict(data)
     sweep = dict(data.get("sweep", {}))
     unknown = set(sweep) - {"variable", "values", "trials", "outputs", "n_candidates"}
     if unknown:
@@ -515,9 +528,3 @@ def sweep_spec_from_dict(data):
             raise ValueError(f"sweep {key} must be a list, got {sweep[key]!r}")
     return SweepSpec(base=base, sweep_variable=sweep.pop("variable", "fronthaul_rate"),
                      values=sweep.pop("values", []), **sweep)
-
-
-def load_sweep_spec(path):
-    """Load a sweep configuration from a JSON file."""
-    with open(path) as f:
-        return sweep_spec_from_dict(json.load(f))

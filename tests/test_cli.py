@@ -181,15 +181,10 @@ class TestConfigErrors:
         ({"schema": CONFIG_SCHEMA, "system": {"pilot_snr": "perfect"},
           "sweep": {"values": [1.0]}}, ["--csi", "pilot"], "requires a numeric pilot_snr"),
         ([{"schema": CONFIG_SCHEMA}], [], "config must be a JSON object, got list"),
-        ({"schema": CONFIG_SCHEMA, "sweep": {"values": 3}}, [],
-         "sweep values must be a list, got 3"),
-        ({"schema": CONFIG_SCHEMA, "sweep": {"values": [1.0], "outputs": []}}, [],
-         "outputs must be non-empty"),
         ({"schema": CONFIG_SCHEMA, "system": {"rho": "x"}, "sweep": {"values": [1.0]}}, [],
          "rho must be a finite real number, got 'x'"),
-        ({"schema": CONFIG_SCHEMA, "sweep": {"variable": "pilot_snr",
-                                             "values": [10.0, "perfect"]}}, [],
-         "sweep values must be real numbers"),
+        ({"schema": CONFIG_SCHEMA, "system": {"K": 4}, "sweep": []}, [],
+         "sweep section must be a JSON object, got list"),
     ])
     def test_bad_config_content_exits_2(self, tmp_path, capsys, command, config, extra,
                                         message):
@@ -201,3 +196,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("cransim: error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sweep, message", [
+        ({"values": [1.0], "n_candidates": [1, 2, 3, 4, 6, 8]},
+         "n_candidates must be integers in [1, 4]"),
+        ({"values": 3}, "sweep values must be a list, got 3"),
+        ({"values": [1.0], "outputs": []}, "outputs must be non-empty"),
+        ({"variable": "pilot_snr", "values": [10.0, "perfect"]},
+         "sweep values must be real numbers"),
+    ])
+    def test_bad_sweep_section_fails_sweep_but_not_trial(self, tmp_path, capsys, sweep,
+                                                         message):
+        # trial runs the system section alone, so the sweep's own rules do not apply
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema": CONFIG_SCHEMA, "sweep": sweep, "system": {
+            "K": 6, "L": 3, "M": 4, "N": 2, "rng_seed": 5}}))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(path), "--output", str(tmp_path / "o.csv")])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert main(["trial", "--config", str(path), "--seed", "8"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("mode=proposed csi=perfect trial=0 seed=8\nK=6 L=3 M=4 N=2 ")
+        assert out.count("selected users") == 3

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cransim.dimred import (full_joint_mi, mfgs_select, rank1_update, signal_space_basis,
-                            truncate_selection)
+from cransim.dimred import (_gram, full_joint_mi, mfgs_select, rank1_update,
+                            signal_space_basis, truncate_selection)
+from cransim.harness import trial_stream
+from cransim.linalg import adjoint
+from cransim.scenario import SystemConfig, generate_realization
 from cransim.validation import (greedy_reference, joint_mi, mi_reference, orthonormalize,
                                 random_channels, stage_gain_diagnostics)
 
@@ -73,6 +76,18 @@ class TestRank1Update:
         A = np.array([[0.7 + 0j]])
         assert np.array_equal(rank1_update(A, H, q, rho=3.0), A)
 
+    def test_updates_in_place(self, rng):
+        H = random_channels(4, 2, 3, rng)
+        A = np.stack([np.eye(4, dtype=complex)] * 2)
+        q = H[:, :, 0] / np.linalg.norm(H[:, :, 0], axis=-1, keepdims=True)
+        expected = [rank1_update(np.eye(4, dtype=complex), H[b], q[b], 5.0) for b in range(2)]
+        assert rank1_update(A, H, q, np.array([5.0, 5.0])) is A
+        assert np.allclose(A, expected, rtol=0, atol=1e-14)
+        assert not np.allclose(A[0], np.eye(4))
+        before = A.copy()       # a skipped receiver's q = 0 leaves A as it is
+        rank1_update(A, H, np.zeros_like(q), 5.0)
+        assert np.array_equal(A, before)
+
     def test_accumulated_updates_match_direct_inverse(self, rng):
         K, L, M, N, rho = 8, 4, 8, 4, 10 ** 1.5
         H = random_channels(K, L, M, rng)
@@ -84,6 +99,15 @@ class TestRank1Update:
         direct = np.linalg.inv(B)
         rel = np.linalg.norm(sel.A_final - direct) / np.linalg.norm(direct)
         assert rel < 1e-8
+
+    def test_final_inverse_at_the_largest_stage_size(self):
+        # 128 unhermitized in-place updates, then one hermitize: exactly Hermitian
+        cfg = SystemConfig(K=64, L=32, M=16, N=4, rng_seed=3)
+        H, rho = generate_realization(cfg, trial_stream(3, 0)).H, 10 ** 1.5
+        sel = mfgs_select(H, rho, cfg.N)
+        assert np.array_equal(sel.A_final, sel.A_final.conj().T)
+        direct = np.linalg.inv(_gram(adjoint(sel.Q) @ H, rho))
+        assert np.linalg.norm(sel.A_final - direct) < 1e-10 * np.linalg.norm(direct)
 
 
 class TestGreedySelection:

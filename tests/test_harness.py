@@ -8,8 +8,8 @@ from cransim import cli, harness
 from cransim.compression import LLOYD_MAX_RATE_PENALTY, build_plan
 from cransim.dimred import mfgs_select
 from cransim.harness import (CONFIG_SCHEMA, SweepSpec, best_dimension, emit_csv,
-                             load_sweep_spec, mi_proportion_sweep, read_csv, run_sweep,
-                             run_trial, sweep_spec_from_dict, trial_stream)
+                             mi_proportion_sweep, read_csv, run_sweep, run_trial,
+                             sweep_spec_from_dict, trial_stream)
 from cransim.scenario import SystemConfig, generate_realization
 
 
@@ -43,8 +43,11 @@ def _assert_batch_independent(variable, values, csi, surcharge):
         assert sweep(order) == [row for v in order for row in singles[v]]
 
 
-def _chunked_run(spec, size, surcharge=0.0):
-    """run_sweep at `size` trials per chunk: its rows, _collect's samples and the chunk sizes run."""
+def _chunked_run(spec, size=None, surcharge=0.0):
+    """run_sweep at `size` trials per chunk: its rows, _collect's samples and the chunk sizes run.
+
+    size None keeps the committed chunk budget.
+    """
     cfg, chunks, collected = spec.base, [], []
     keys = len({(c.pilot_snr, c.rho) for c in spec.configs()})
     designs, collect = harness._designs, harness._collect
@@ -58,7 +61,8 @@ def _chunked_run(spec, size, surcharge=0.0):
         return collected[-1]
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(harness, "_CHUNK_ELEMENTS", size * keys * cfg.L * cfg.M * cfg.K)
+        if size is not None:
+            m.setattr(harness, "_CHUNK_ELEMENTS", size * keys * cfg.L * cfg.M * cfg.K)
         m.setattr(harness, "_designs", spy_designs)
         m.setattr(harness, "_collect", spy_collect)
         rows = run_sweep(spec, surcharge=surcharge)
@@ -383,16 +387,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="values must be non-empty"):
             sweep_spec_from_dict({"schema": CONFIG_SCHEMA, "sweep": {}})
 
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({
-            "schema": CONFIG_SCHEMA,
-            "system": {"K": 3, "L": 2, "M": 3, "N": 1, "rng_seed": 2},
-            "sweep": {"variable": "fronthaul_rate", "values": [2.0], "trials": 2},
-        }))
-        spec = load_sweep_spec(path)
-        assert spec.base.K == 3
-
 
 class TestRunSweep:
     def test_rows_shape_and_order(self):
@@ -620,6 +614,20 @@ class TestTrialChunks:
         assert isinstance(info.value.__cause__, ArithmeticError)
         # the 6-trial chunk, trials 0-4 one at a time, then trial 4's two members alone
         assert chunks == [6, 1, 1, 1, 1, 1, 1, 1]
+
+
+class TestChunkBudget:
+    def test_large_array_trials_share_chunks(self):
+        # two (64,32,16,4) trials fit the committed budget, and sharing a chunk changes no bit
+        spec = _spec(_cfg(K=64, L=32, M=16, N=4), values=[4.0, 32.0], trials=3,
+                     outputs=("sum_capacity", "mi_proportion", "cutset"))
+        rows, samples, chunks = _chunked_run(spec)
+        assert chunks == [2, 1]
+        single = _chunked_run(spec, 1)
+        assert single[2] == [1, 1, 1] and single[0] == rows
+        assert single[1].keys() == samples.keys()
+        for name, x in samples.items():
+            assert np.array_equal(single[1][name], x), name
 
 
 class TestCsv:
