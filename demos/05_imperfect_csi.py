@@ -1,7 +1,7 @@
 # Imperfect CSI: pilot-based MMSE estimation, noise whitening, and the
 # capacity lower bound as the pilot SNR degrades.
 #
-# Run: python demos/05_imperfect_csi.py   (about half a minute)
+# Run: python demos/05_imperfect_csi.py   (about a second)
 
 import numpy as np
 
@@ -13,9 +13,9 @@ base_fields = dict(K=8, L=4, M=8, N=2, rho=10.0 ** 1.5, rng_seed=5)
 # one realization, one link: what estimation error does a 10 dB pilot leave?
 cfg = SystemConfig(pilot_snr=10.0, **base_fields)
 channels = generate_realization(cfg, trial_stream(cfg.rng_seed, 0))
-csi = estimate_channels(channels, cfg.pilot_snr, trial_stream(cfg.rng_seed, 0, 1))
-_, omega = whiten(csi, cfg.rho)
-print(f"per-antenna error variance, receiver 0: {np.round(csi.err_var[0], 4)}")
+H_hat, err_var = estimate_channels(channels, cfg.pilot_snr, trial_stream(cfg.rng_seed, 0, 1))
+_, omega = whiten(H_hat, err_var, cfg.rho)
+print(f"per-antenna error variance, receiver 0: {np.round(err_var[0], 4)}")
 print(f"equivalent-noise inflation omega_0 (Omega_0 = omega_0 I): {omega[0]:.3f} "
       f"(1.0 would be perfect CSI)\n")
 

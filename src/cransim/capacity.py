@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimred import full_joint_mi
-from .linalg import adjoint, hermitize, logdet2_hpd
+from .linalg import gram, hermitize, logdet2_hpd
 
 
 @dataclass
@@ -34,21 +34,13 @@ class CapacityReport:
     csi_mode: str = "perfect"
 
 
-def _detection_matrix(G, phi, rho):
-    """I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l, one (L*n, K) product per stack element."""
-    W = G / (np.asarray(phi, dtype=float) + 1.0)[..., None]    # rows times detection weights
-    W, G = (a.reshape(a.shape[:-3] + (-1, a.shape[-1])) for a in (W, G))
-    rho = np.asarray(rho, dtype=float)[..., None, None]
-    return np.eye(G.shape[-1], dtype=complex) + rho * (adjoint(G) @ W)
-
-
 def sum_capacity(G, phi, rho):
     """Sum capacity log2 det(I_K + rho * sum_l G_l' (Phi_l + I)^{-1} G_l), bits/use.
 
     Everything dropped (all Phi infinite) gives exactly 0. A stack gives an
     array over its leading axes.
     """
-    return logdet2_hpd(_detection_matrix(G, phi, rho))
+    return logdet2_hpd(gram(G, rho, phi))
 
 
 def lmmse_sqinr(G, phi, rho):
@@ -58,7 +50,7 @@ def lmmse_sqinr(G, phi, rho):
     C_k = log2(1 + SQINR_k). Returns (sqinr, user_capacity), both of shape
     (..., K) over the stack's leading axes.
     """
-    Binv = np.linalg.inv(hermitize(_detection_matrix(G, phi, rho)))
+    Binv = np.linalg.inv(hermitize(gram(G, rho, phi)))
     d = np.real(np.diagonal(Binv, axis1=-2, axis2=-1))
     sqinr = np.maximum(1.0 / d - 1.0, 0.0)
     return sqinr, np.log2(1.0 + sqinr)

@@ -26,18 +26,17 @@ class CompressionPlan:
     """Transform-coding state for all receivers at a given fronthaul rate.
 
     Arrays are stacked over receivers on their leading axis, with n the
-    reduced dimension: decorrelating transforms V (L, n, n) with unitary
-    columns in the order of the descending eigenvalues lam (L, n),
-    waterfilled rates (L, n), quantisation-noise diagonals Phi (L, n),
-    equivalent channels G = V' Q' H (L, n, K), and active component counts
-    (L,). Phi = np.inf marks a dropped zero-rate component: its detection
-    weight 1 / (Phi + 1) is exactly 0, which is information-equivalent to
-    not forwarding it. A stacked plan puts its design axes in front of all
+    reduced dimension: the descending eigenvalues lam (L, n) of the filtered
+    signal covariances, waterfilled rates (L, n), quantisation-noise
+    diagonals Phi (L, n), equivalent channels G = V' Q' H (L, n, K) under the
+    decorrelating transforms V, and active component counts (L,).
+    Phi = np.inf marks a dropped zero-rate component: its detection weight
+    1 / (Phi + 1) is exactly 0, which is information-equivalent to not
+    forwarding it. A stacked plan puts its design axes in front of all
     of these, and the axes of an array of rates in front of rates, Phi and
     active as well.
     """
 
-    V: np.ndarray
     lam: np.ndarray
     rates: np.ndarray
     Phi: np.ndarray
@@ -45,15 +44,14 @@ class CompressionPlan:
     active: np.ndarray
 
 
-def decorrelate(Q, H):
-    """Eigendecomposition of Q' H H' Q: decorrelating transforms and eigenvalues.
+def decorrelate(T):
+    """Eigendecomposition of T T' for filtered channels T = Q' H: transforms and eigenvalues.
 
-    Works on the trailing two axes, so Q (..., M, n) and H (..., M, K) may be
-    stacks. Returns (V, lam) with lam sorted descending and the columns of V
-    ordered to match; numerically negative eigenvalues within a tolerance
-    relative to each matrix's own largest |eigenvalue| are clamped to 0.
+    Works on the trailing two axes, so T (..., n, K) may be a stack. Returns
+    (V, lam) with lam sorted descending and the columns of V ordered to
+    match; numerically negative eigenvalues within a tolerance relative to
+    each matrix's own largest |eigenvalue| are clamped to 0.
     """
-    T = adjoint(Q) @ H
     w, V = np.linalg.eigh(hermitize(T @ adjoint(T)))
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
     if np.any(w < -EIG_CLAMP_TOL * scale[..., None]):
@@ -163,10 +161,10 @@ def build_plan(Q, H, R, rho, H_true=None, omega=None, surcharge=0.0):
     rates and Phi (shape R.shape + lam.shape).
     """
     rho = np.asarray(rho, dtype=float)[..., None, None]
-    V, lam = decorrelate(Q, H)
+    T = adjoint(Q) @ H
+    V, lam = decorrelate(T)
     R = np.reshape(R, np.shape(R) + (1,) * (lam.ndim - 1))
     rates, active = waterfill(lam, R, surcharge=surcharge)
     var = None if H_true is None else true_component_variances(V, Q, omega, H_true, rho)
     phi = quant_noise(lam, rates, rho, variances=var)
-    G = adjoint(V) @ (adjoint(Q) @ H)
-    return CompressionPlan(V=V, lam=lam, rates=rates, Phi=phi, G=G, active=active)
+    return CompressionPlan(lam=lam, rates=rates, Phi=phi, G=adjoint(V) @ T, active=active)

@@ -7,23 +7,9 @@ and compression stages can run unchanged on the whitened estimated channels.
 All arrays are stacked over receivers on their leading axis.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import NumericalError
-
-
-@dataclass
-class CsiModel:
-    """Channel estimates of one realization.
-
-    err_var[l, k] is the per-antenna MMSE error variance of link (l, k), so the
-    error covariance is err_var[l, k] * I_M.
-    """
-
-    H_hat: np.ndarray                # (L, M, K) estimated channels
-    err_var: np.ndarray              # (L, K)
 
 
 def estimate_channels(channels, pilot_snr, rng):
@@ -34,8 +20,8 @@ def estimate_channels(channels, pilot_snr, rng):
     h_hat = sqrt(pilot_snr) s2 / (1 + pilot_snr s2) * y with error variance
     s2 / (1 + pilot_snr s2) per antenna. pilot_snr is numeric (the harness
     skips estimation under genie CSI), a number or an array of SNRs: the pilot
-    noise is drawn once and every SNR scales the same draw, so H_hat gets
-    shape pilot_snr.shape + (L, M, K) and err_var pilot_snr.shape + (L, K).
+    noise is drawn once and every SNR scales the same draw. Returns (H_hat,
+    err_var) of shapes pilot_snr.shape + (L, M, K) and pilot_snr.shape + (L, K).
     """
     L, M, K = channels.H.shape
     snr = np.asarray(pilot_snr, dtype=float)[..., None, None]
@@ -47,10 +33,10 @@ def estimate_channels(channels, pilot_snr, rng):
     coeff = np.sqrt(snr) * sigma2 / (1.0 + snr * sigma2)   # (..., L, K)
     H_hat = coeff[..., None, :] * (np.sqrt(snr)[..., None] * channels.H + noise)
     err_var = sigma2 / (1.0 + snr * sigma2)
-    return CsiModel(H_hat=H_hat, err_var=err_var)
+    return H_hat, err_var
 
 
-def whiten(csi, rho):
+def whiten(H_hat, err_var, rho):
     """Equivalent-noise levels omega_l = 1 + rho * sum_k err_var[l, k] and whitened estimates.
 
     The error covariances are isotropic, so Omega_l = omega_l I and whitening
@@ -58,10 +44,10 @@ def whiten(csi, rho):
     with H_check of shape (..., L, M, K) and omega of shape (..., L), where the
     leading axes of a batched estimate and of an array rho broadcast.
     """
-    omega = 1.0 + np.asarray(rho)[..., None] * np.sum(csi.err_var, axis=-1)
+    omega = 1.0 + np.asarray(rho)[..., None] * np.sum(err_var, axis=-1)
     bad = np.argwhere(omega <= 0)
     if bad.size:
         raise NumericalError(
             f"equivalent-noise covariance for receiver {bad[0][-1]} is not positive definite")
     w = 1.0 / np.sqrt(omega)
-    return w[..., None, None] * csi.H_hat, omega
+    return w[..., None, None] * H_hat, omega

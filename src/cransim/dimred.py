@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, hermitize, logdet2_hpd
+from .linalg import adjoint, gram, hermitize, logdet2_hpd
 
 log = logging.getLogger(__name__)
 
@@ -55,23 +55,13 @@ class DimensionReductionResult:
         return self.mi_trajectory[..., -1]
 
 
-def _gram(T, rho):
-    """I_K + rho * sum_l T_l' T_l for T of shape (..., L, rows, K).
-
-    rho is a scalar or an array that broadcasts against T's leading axes.
-    """
-    T = T.reshape(T.shape[:-3] + (-1, T.shape[-1]))
-    rho = np.asarray(rho)[..., None, None]
-    return np.eye(T.shape[-1], dtype=complex) + rho * (adjoint(T) @ T)
-
-
 def full_joint_mi(H, rho):
     """Unconstrained joint MI of the full-dimension received signals H (..., L, M, K), bits.
 
     Leading axes of H and the shape of rho broadcast to a batch, which gives
     an array of MIs; an unbatched call gives a scalar.
     """
-    return logdet2_hpd(_gram(np.asarray(H), rho))
+    return logdet2_hpd(gram(np.asarray(H), rho))
 
 
 def signal_space_basis(H):
@@ -203,7 +193,7 @@ def truncate_selection(result, H, rho, n):
     if not 1 <= n <= full_rounds:
         raise ValueError(f"n must satisfy 1 <= n <= {full_rounds}")
     Q = result.Q[..., :n]
-    A = np.linalg.inv(hermitize(_gram(adjoint(Q) @ H, rho)))
+    A = np.linalg.inv(hermitize(gram(adjoint(Q) @ H, rho)))
     return DimensionReductionResult(users=result.users[:, :n].copy(), Q=Q,
                                     mi_trajectory=result.mi_trajectory[:n * len(Q)].copy(),
                                     A_final=hermitize(A))

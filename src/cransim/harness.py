@@ -15,7 +15,7 @@ import numpy as np
 
 from . import capacity as cap
 from .compression import build_plan, check_surcharge
-from .csi import CsiModel, estimate_channels, whiten
+from .csi import estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
 from .linalg import adjoint
@@ -181,10 +181,9 @@ def _designs(trials, base, keys, nmax, baseline):
     H_true = np.stack([c.H for c in channels])[:, None]
     rho, extra = np.broadcast_to(rho.astype(float), (len(trials), len(keys))), {}
     if csi_mode(pilot[0]) == "pilot":
-        models = [estimate_channels(c, pilot, trial_stream(base.rng_seed, t, 1))
-                  for c, t in zip(channels, trials)]
-        H, omega = whiten(CsiModel(np.stack([m.H_hat for m in models]),
-                                   np.stack([m.err_var for m in models])), rho)
+        H_hat, err_var = zip(*[estimate_channels(c, pilot, trial_stream(base.rng_seed, t, 1))
+                               for c, t in zip(channels, trials)])
+        H, omega = whiten(np.stack(H_hat), np.stack(err_var), rho)
         full_mi = full_joint_mi(H, rho)
         rhos, which = np.unique(rho[0], return_inverse=True)
         cutset_mi = full_joint_mi(H_true, rhos)[:, which]
@@ -505,7 +504,10 @@ def system_config_from_dict(data):
             value = system.pop(db_key)
             if not is_real(value):
                 raise ValueError(f"{db_key} must be a real number, got {value!r}")
-            system[lin_key] = 10.0 ** (value / 10.0)
+            try:
+                system[lin_key] = 10.0 ** (value / 10.0)
+            except OverflowError:
+                raise ValueError(f"{db_key} is too large for a float, got {value!r}") from None
     valid_fields = set(SystemConfig.__dataclass_fields__)
     unknown = set(system) - valid_fields
     if unknown:

@@ -22,6 +22,18 @@ def hermitize(a):
     return 0.5 * np.add(a, adjoint(a), order="C")
 
 
+def gram(X, rho, phi=None):
+    """I_K + rho * sum_l X_l' (Phi_l + I)^{-1} X_l for X (..., L, rows, K), phi (..., L, rows).
+
+    phi=None means Phi = 0 and weights no copy of X; an infinite phi entry
+    weights its row by exactly 0. The leading axes of X, phi and rho broadcast.
+    """
+    W = X if phi is None else X / (np.asarray(phi, dtype=float) + 1.0)[..., None]
+    W, X = (a.reshape(a.shape[:-3] + (-1, a.shape[-1])) for a in (W, X))
+    rho = np.asarray(rho, dtype=float)[..., None, None]
+    return np.eye(X.shape[-1], dtype=complex) + rho * (adjoint(X) @ W)
+
+
 def logdet2_hpd(a):
     """log2(det(a)) of a Hermitian positive-definite matrix via Cholesky.
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +106,17 @@ class TestTrialCommand:
         assert "cutset: " in out and "full_mi: " in out
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m_help_exits_0(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "cransim", "--help"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: cransim ")
+        assert "{sweep,trial,validate}" in proc.stdout
+
+
 class TestValidateCommand:
     def test_validate_passes(self, capsys):
         assert main(["validate", "--seed", "1"]) == 0
@@ -185,6 +199,10 @@ class TestConfigErrors:
          "rho must be a finite real number, got 'x'"),
         ({"schema": CONFIG_SCHEMA, "system": {"K": 4}, "sweep": []}, [],
          "sweep section must be a JSON object, got list"),
+        ({"schema": CONFIG_SCHEMA, "system": {"rho_db": 4000}, "sweep": {"values": [1.0]}}, [],
+         "rho_db is too large for a float, got 4000"),
+        ({"schema": CONFIG_SCHEMA, "system": {"pilot_snr_db": 5000},
+          "sweep": {"values": [1.0]}}, [], "pilot_snr_db is too large for a float, got 5000"),
     ])
     def test_bad_config_content_exits_2(self, tmp_path, capsys, command, config, extra,
                                         message):

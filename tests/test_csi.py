@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cransim.csi import CsiModel, estimate_channels, whiten
+from cransim.csi import estimate_channels, whiten
 from cransim.linalg import NumericalError
 from cransim.scenario import (ChannelRealization, SystemConfig, generate_channels,
                               generate_realization)
@@ -13,18 +13,18 @@ def _channels(seed=0, K=4, L=2, M=3):
 
 
 def _zero_error(ch):
-    """The CSI model of genie CSI: the true channels with no estimation error."""
+    """The estimates of genie CSI: the true channels with no estimation error."""
     L, _, K = ch.H.shape
-    return CsiModel(H_hat=ch.H, err_var=np.zeros((L, K)))
+    return ch.H, np.zeros((L, K))
 
 
 class TestEstimation:
     def test_perfect_sentinel_degenerates(self):
         ch = _channels()
-        csi = _zero_error(ch)
-        assert np.array_equal(csi.H_hat, ch.H)
-        assert np.all(csi.err_var == 0)
-        H_check, omega = whiten(csi, rho=10.0)
+        H_hat, err_var = _zero_error(ch)
+        assert np.array_equal(H_hat, ch.H)
+        assert np.all(err_var == 0)
+        H_check, omega = whiten(H_hat, err_var, rho=10.0)
         assert np.array_equal(H_check, ch.H)
         assert np.all(omega == 1.0)
 
@@ -32,8 +32,8 @@ class TestEstimation:
         # s2 = 1, pilot SNR 1 -> error variance 1/2
         ch = ChannelRealization(H=np.ones((1, 1, 1), dtype=complex),
                                 beta=np.array([[1.0]]), p=np.array([1.0]))
-        csi = estimate_channels(ch, 1.0, np.random.default_rng(0))
-        assert csi.err_var[0, 0] == pytest.approx(0.5, rel=1e-15)
+        _, err_var = estimate_channels(ch, 1.0, np.random.default_rng(0))
+        assert err_var[0, 0] == pytest.approx(0.5, rel=1e-15)
 
     def test_rejects_nonpositive_pilot_snr(self):
         ch = _channels()
@@ -52,8 +52,8 @@ class TestEstimation:
         errs = []
         for _ in range(100):
             ch = generate_channels(cfg, beta, p, rng)
-            csi = estimate_channels(ch, pilot_snr, rng)
-            errs.append(np.abs(ch.H[0][:, 0] - csi.H_hat[0][:, 0]) ** 2)
+            H_hat, _ = estimate_channels(ch, pilot_snr, rng)
+            errs.append(np.abs(ch.H[0][:, 0] - H_hat[0][:, 0]) ** 2)
         errs = np.concatenate(errs)
         s2 = p[0] * beta[0, 0]
         target = s2 / (1.0 + pilot_snr * s2)
@@ -69,9 +69,9 @@ class TestEstimation:
         cross = []
         for _ in range(50):
             ch = generate_channels(cfg, beta, p, rng)
-            csi = estimate_channels(ch, 1.7, rng)
-            err = ch.H[0][:, 0] - csi.H_hat[0][:, 0]
-            cross.append(csi.H_hat[0][:, 0] * err.conj())
+            H_hat, _ = estimate_channels(ch, 1.7, rng)
+            err = ch.H[0][:, 0] - H_hat[0][:, 0]
+            cross.append(H_hat[0][:, 0] * err.conj())
         cross = np.concatenate(cross)
         stderr = np.std(cross.real) / np.sqrt(cross.size)
         assert abs(cross.mean().real) < 4 * stderr
@@ -81,7 +81,7 @@ class TestEstimation:
         ch = _channels(seed=5)
         prev = None
         for snr in [0.1, 1.0, 10.0, 100.0]:
-            ev = estimate_channels(ch, snr, np.random.default_rng(0)).err_var
+            _, ev = estimate_channels(ch, snr, np.random.default_rng(0))
             if prev is not None:
                 assert np.all(ev < prev)
             prev = ev
@@ -90,36 +90,36 @@ class TestEstimation:
 class TestWhitening:
     def test_zero_error_is_identity_whitening(self):
         ch = _channels(seed=2)
-        csi = _zero_error(ch)
-        H_check, omega = whiten(csi, rho=25.0)
-        assert np.array_equal(H_check, csi.H_hat)
+        H_hat, err_var = _zero_error(ch)
+        H_check, omega = whiten(H_hat, err_var, rho=25.0)
+        assert np.array_equal(H_check, H_hat)
         assert np.all(omega == 1.0)
 
     def test_scalar_case(self):
         # M = K = 1: Omega = 1 + rho*err_var and h_check = h_hat / sqrt(Omega)
         ch = ChannelRealization(H=np.array([[[2.0 + 1.0j]]]),
                                 beta=np.array([[1.0]]), p=np.array([1.0]))
-        csi = estimate_channels(ch, 4.0, np.random.default_rng(0))
+        H_hat, err_var = estimate_channels(ch, 4.0, np.random.default_rng(0))
         rho = 3.0
-        H_check, omega = whiten(csi, rho)
-        ev = csi.err_var[0, 0]
+        H_check, omega = whiten(H_hat, err_var, rho)
+        ev = err_var[0, 0]
         assert omega[0] == pytest.approx(1.0 + rho * ev, rel=1e-15)
-        expected = csi.H_hat[0, 0, 0] / np.sqrt(1.0 + rho * ev)
+        expected = H_hat[0, 0, 0] / np.sqrt(1.0 + rho * ev)
         assert H_check[0, 0, 0] == pytest.approx(expected, rel=1e-15)
 
     def test_whitening_is_inverse_square_root(self):
         ch = _channels(seed=9)
-        csi = estimate_channels(ch, 2.5, np.random.default_rng(1))
-        H_check, omega = whiten(csi, rho=12.0)
+        H_hat, err_var = estimate_channels(ch, 2.5, np.random.default_rng(1))
+        H_check, omega = whiten(H_hat, err_var, rho=12.0)
         assert omega.shape == (2,)
-        assert np.allclose(omega, 1.0 + 12.0 * csi.err_var.sum(axis=1), rtol=1e-15)
+        assert np.allclose(omega, 1.0 + 12.0 * err_var.sum(axis=1), rtol=1e-15)
         # each receiver's estimate is scaled by omega_l^(-1/2)
-        assert np.max(np.abs(H_check * np.sqrt(omega)[:, None, None] - csi.H_hat)) < (
-            1e-12 * np.max(np.abs(csi.H_hat)))
+        assert np.max(np.abs(H_check * np.sqrt(omega)[:, None, None] - H_hat)) < (
+            1e-12 * np.max(np.abs(H_hat)))
 
     def test_non_positive_definite_raises(self):
         ch = _channels(seed=4)
-        csi = estimate_channels(ch, 1.0, np.random.default_rng(0))
-        csi.err_var[:] = -1.0   # forged: forces a non-positive Omega diagonal
+        H_hat, err_var = estimate_channels(ch, 1.0, np.random.default_rng(0))
+        err_var[:] = -1.0   # forged: forces a non-positive Omega diagonal
         with pytest.raises(NumericalError):
-            whiten(csi, rho=10.0)
+            whiten(H_hat, err_var, rho=10.0)

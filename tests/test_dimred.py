@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cransim.dimred import (_gram, full_joint_mi, mfgs_select, rank1_update,
-                            signal_space_basis, truncate_selection)
+from cransim.dimred import (full_joint_mi, mfgs_select, rank1_update, signal_space_basis,
+                            truncate_selection)
 from cransim.harness import trial_stream
-from cransim.linalg import adjoint
+from cransim.linalg import adjoint, gram
 from cransim.scenario import SystemConfig, generate_realization
 from cransim.validation import (greedy_reference, joint_mi, mi_reference, orthonormalize,
                                 random_channels, stage_gain_diagnostics)
@@ -106,7 +106,7 @@ class TestRank1Update:
         H, rho = generate_realization(cfg, trial_stream(3, 0)).H, 10 ** 1.5
         sel = mfgs_select(H, rho, cfg.N)
         assert np.array_equal(sel.A_final, sel.A_final.conj().T)
-        direct = np.linalg.inv(_gram(adjoint(sel.Q) @ H, rho))
+        direct = np.linalg.inv(gram(adjoint(sel.Q) @ H, rho))
         assert np.linalg.norm(sel.A_final - direct) < 1e-10 * np.linalg.norm(direct)
 
 

@@ -1,0 +1,27 @@
+import numpy as np
+import pytest
+
+from cransim.linalg import NumericalError, gram, logdet2_hpd
+from cransim.validation import random_channels
+
+
+def test_logdet_of_a_matrix_that_is_not_positive_definite_raises():
+    with pytest.raises(NumericalError, match="not positive definite"):
+        logdet2_hpd(np.diag([1.0, -1.0]))
+
+
+class TestGram:
+    def test_unit_weights_equal_zero_noise(self, rng):
+        X = random_channels(6, 3, 4, rng)
+        assert np.array_equal(gram(X, 7.0), gram(X, 7.0, np.zeros(X.shape[:-1])))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_per_receiver_sum(self, rng, weighted):
+        X = random_channels(6, 3, 4, rng)
+        phi = rng.uniform(0.0, 5.0, X.shape[:-1])
+        phi[1, 2] = np.inf    # a dropped row weighs exactly 0
+        weights = 1.0 / (phi + 1.0) if weighted else np.ones(X.shape[:-1])
+        direct = np.eye(6, dtype=complex) + 7.0 * sum(
+            Xl.conj().T @ np.diag(w) @ Xl for Xl, w in zip(X, weights))
+        B = gram(X, 7.0, phi if weighted else None)
+        assert np.max(np.abs(B - direct)) <= 1e-12 * np.max(np.abs(direct))

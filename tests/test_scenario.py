@@ -26,6 +26,7 @@ class TestSystemConfig:
         dict(rho=float("nan")), dict(rho=float("inf")), dict(fronthaul_rate=float("nan")),
         dict(pilot_snr=float("nan")), dict(pilot_snr=float("inf")),
         dict(area_side_m=float("inf")), dict(user_height_m=float("nan")),
+        dict(area_side_m=0.0), dict(user_height_m=-1.0), dict(rx_height_m=-1.0),
         dict(pathloss_exponent=float("nan")), dict(shadow_sigma_db=float("inf")),
         dict(K=True, N=1), dict(L=True), dict(M=True, N=1), dict(N=True), dict(rng_seed=False),
         dict(N=2.0), dict(rng_seed=1.5),
