@@ -78,9 +78,9 @@ def waterfill(lam, R, surcharge=0.0):
     count: another count can give more capacity.
 
     lam may be a stack (..., n) of descending rows and R an array that
-    broadcasts against lam.shape[:-1]: each row gets its own budget and
-    repeats the drop step independently until none changes, and each pass
-    recomputes only the rows not yet settled. Returns (rates, n_active) over
+    broadcasts against lam.shape[:-1]: each row gets its own budget, and
+    passes over the whole stack repeat until no row drops a component (a
+    settled row recomputes to the same bits). Returns (rates, n_active) over
     the broadcast leading axes, zeros for inactive components.
     """
     check_surcharge(surcharge)
@@ -93,21 +93,16 @@ def waterfill(lam, R, surcharge=0.0):
     if np.any(np.diff(lam, axis=-1) > 1e-12 * np.maximum(1.0, lam[..., :1])):
         raise ValueError("eigenvalues must be sorted descending")
 
-    shape = np.broadcast_shapes(R.shape, lam.shape)
-    rows = (int(np.prod(shape[:-1])), shape[-1])    # one row per allocation
-    active = np.broadcast_to(lam > 0, shape).reshape(rows).copy()
-    log_lam = np.broadcast_to(np.log2(np.where(lam > 0, lam, 1.0)), shape).reshape(rows)
-    R = np.broadcast_to(R, shape[:-1] + (1,)).reshape(-1, 1)
-    rates, todo = np.empty(log_lam.shape), np.arange(len(log_lam))   # todo: rows not settled
-    while todo.size:
-        act, ll = active[todo], log_lam[todo]
-        n = np.maximum(np.count_nonzero(act, axis=-1), 1)[:, None]
-        mean = np.sum(np.where(act, ll, 0.0), axis=-1, keepdims=True) / n
-        r = (R[todo] - surcharge * n) / n + ll - mean
-        active[todo] = keep = act & (r > 0)
-        rates[todo] = np.where(keep, r, 0.0)   # final once a pass keeps the row's active set
-        todo = todo[(keep != act).any(axis=-1)]
-    return rates.reshape(shape), np.count_nonzero(active.reshape(shape), axis=-1)
+    active = np.broadcast_to(lam > 0, np.broadcast_shapes(R.shape, lam.shape))
+    log_lam = np.log2(np.where(lam > 0, lam, 1.0))
+    while True:
+        n = np.maximum(np.count_nonzero(active, axis=-1), 1)[..., None]
+        mean = np.sum(np.where(active, log_lam, 0.0), axis=-1, keepdims=True) / n
+        r = (R - surcharge * n) / n + log_lam - mean
+        keep = active & (r > 0)
+        if np.array_equal(keep, active):
+            return np.where(keep, r, 0.0), np.count_nonzero(keep, axis=-1)
+        active = keep
 
 
 def quant_noise(lam, rates, rho, variances=None):
@@ -123,10 +118,8 @@ def quant_noise(lam, rates, rho, variances=None):
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
-    phi = np.full(rates.shape, np.inf)
-    act = rates > 0
-    phi[act] = np.broadcast_to(variances, rates.shape)[act] / (2.0 ** rates[act] - 1.0)
-    return phi
+    return np.divide(variances, 2.0 ** rates - 1.0, out=np.full(rates.shape, np.inf),
+                     where=rates > 0)
 
 
 def true_component_variances(V, Q, omega, H_true, rho):

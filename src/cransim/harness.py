@@ -324,9 +324,9 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
     dtype, shaped (rates, keys, trials) followed by the metric's own axes,
     and config i reads cell at[i]. A failing chunk is re-run one trial at a
     time, and a failing trial re-raised as a RuntimeError naming it, the
-    labels of the configs in the failing step (all of them for the design
-    step; in a failing group, the member that fails alone at its rate and
-    key), the mode and the CSI mode.
+    labels of the configs in the failing step (all of them unless one fails
+    alone), the mode and the CSI mode: a failing group of several configs
+    re-runs _collect on each alone, and the first that fails raises its own.
     """
     check_surcharge(surcharge)
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
@@ -368,18 +368,12 @@ def _collect(base, configs, labels, trials, surcharge, read, cands):
             if step is None:
                 raise RuntimeError(f"trial {chunk[0]} failed at {', '.join(labels)} in the "
                                    f"design step (csi={csi})") from exc
-            (mode, n), (wanted, members) = step, groups[step]
-            failed = list(members)
-            for ci in failed:   # re-run each member alone to name the culprit
-                r, k = at[ci]
-                try:
-                    one = _designs(chunk, base, [keys[k]], nmax, baseline)
-                    _evaluate(one, mode, n, [rates[r]], wanted, surcharge)
-                except Exception as single:
-                    exc, failed = single, [ci]
-                    break
+            (mode, n), members = step, list(groups[step][1])
+            for ci in members if len(members) > 1 else []:  # the first to fail alone raises
+                _collect(base, configs[ci:ci + 1], labels[ci:ci + 1], chunk, surcharge, read,
+                         cands)
             raise RuntimeError(f"trial {chunk[0]} failed at "
-                               f"{', '.join(labels[ci] for ci in failed)} in mode "
+                               f"{', '.join(labels[ci] for ci in members)} in mode "
                                f"'{mode}' at N={n} (csi={csi})") from exc
     return samples, at
 

@@ -73,8 +73,8 @@ class SystemConfig:
             raise ValueError("K, L, M must be positive integers")
         if not 1 <= self.N <= self.max_components:
             raise ValueError(f"N must satisfy 1 <= N <= min(M, K) = {self.max_components}")
-        if self.rho <= 0:
-            raise ValueError("rho must be a positive linear SNR")
+        if not 0 < self.rho <= 1e12:    # above 120 dB greedy gains can round negative
+            raise ValueError(f"rho must be a positive linear SNR <= 1e12 (120 dB), got {self.rho!r}")
         # NaN fails; inf is the unquantized limit
         if not (is_real(self.fronthaul_rate) and self.fronthaul_rate >= 0):
             raise ValueError("fronthaul_rate must be a real number >= 0 (inf for no "
@@ -152,9 +152,10 @@ def generate_channels(config, beta, p, rng):
     beta = np.asarray(beta, dtype=float)
     p = np.asarray(p, dtype=float)
     L, K, M = config.L, config.K, config.M
-    scale = np.sqrt(p[None, None, :] * beta[:, None, :] / 2.0)  # (L, 1, K) -> broadcast (L, M, K)
-    raw = rng.standard_normal((L, M, K)) + 1j * rng.standard_normal((L, M, K))
-    return ChannelRealization(H=raw * scale, beta=beta, p=p)
+    H = np.empty((L, M, K), dtype=complex)
+    H.real, H.imag = rng.standard_normal((2, L, M, K))  # real parts drawn first
+    H *= np.sqrt(p[None, None, :] * beta[:, None, :] / 2.0)  # (L, 1, K) broadcasts
+    return ChannelRealization(H=H, beta=beta, p=p)
 
 
 def generate_realization(config, rng):

@@ -203,6 +203,8 @@ class TestConfigErrors:
          "rho_db is too large for a float, got 4000"),
         ({"schema": CONFIG_SCHEMA, "system": {"pilot_snr_db": 5000},
           "sweep": {"values": [1.0]}}, [], "pilot_snr_db is too large for a float, got 5000"),
+        ({"schema": CONFIG_SCHEMA, "system": {"rho_db": 160}, "sweep": {"values": [1.0]}}, [],
+         "rho must be a positive linear SNR <= 1e12 (120 dB), got 1e+16"),
     ])
     def test_bad_config_content_exits_2(self, tmp_path, capsys, command, config, extra,
                                         message):

@@ -495,6 +495,22 @@ class TestRunSweep:
             run_sweep(spec)
         assert isinstance(info.value.__cause__, ArithmeticError)
 
+    def test_failure_only_in_a_rate_stack_names_every_rate(self, monkeypatch):
+        real = harness.build_plan
+
+        def fails_on_stacked_rates(Q, H, R, *a, **k):
+            if np.size(R) > 1:
+                raise ArithmeticError("synthetic failure")
+            return real(Q, H, R, *a, **k)
+        monkeypatch.setattr(harness, "build_plan", fails_on_stacked_rates)
+        spec = _spec(values=[1.0, 4.0, 16.0], outputs=("sum_capacity",))
+        with pytest.raises(RuntimeError, match=r"^trial 0 failed at fronthaul_rate=1.0, "
+                                               r"fronthaul_rate=4.0, fronthaul_rate=16.0 in "
+                                               r"mode 'proposed' at N=2 \(csi=perfect\)$"
+                           ) as info:
+            run_sweep(spec)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
     def test_failure_inside_a_key_stack_names_the_failing_value(self, monkeypatch):
         real = harness.build_plan
 

@@ -31,11 +31,14 @@ class TestSystemConfig:
         dict(K=True, N=1), dict(L=True), dict(M=True, N=1), dict(N=True), dict(rng_seed=False),
         dict(N=2.0), dict(rng_seed=1.5),
         dict(rho="x"), dict(pilot_snr=None), dict(fronthaul_rate="8"),
-        dict(shadow_sigma_db=[1]), dict(rho=True), dict(fronthaul_rate=False),
+        dict(shadow_sigma_db=[1]), dict(rho=True), dict(fronthaul_rate=False), dict(rho=1e13),
     ])
     def test_invalid_fields_raise(self, kw):
         with pytest.raises(ValueError):
             _cfg(**kw)
+
+    def test_rho_up_to_120_db_is_valid(self):
+        assert _cfg(rho=1e12).rho == 1e12
 
     def test_infinite_fronthaul_rate_is_the_unquantized_limit(self):
         assert _cfg(fronthaul_rate=float("inf")).fronthaul_rate == float("inf")
@@ -152,6 +155,20 @@ class TestChannels:
             acc += sum(np.sum(np.abs(Hl) ** 2, axis=0) for Hl in ch.H)
         mean_power = acc / (n_draws * cfg.M * cfg.L)
         assert np.all(np.abs(mean_power - 1.0) < 0.01)
+
+    @pytest.mark.parametrize("K, L, M, N", [(8, 4, 8, 2), (64, 32, 16, 4)])
+    def test_draw_is_two_scaled_normal_draws(self, K, L, M, N):
+        cfg = _cfg(K=K, L=L, M=M, N=N)
+        rng = np.random.default_rng(31)
+        _, beta = generate_geometry(cfg, rng)
+        p = power_control(beta)
+        start = rng.bit_generator.state
+        H = generate_channels(cfg, beta, p, rng).H
+        end, rng.bit_generator.state = rng.bit_generator.state, start
+        raw = rng.standard_normal((L, M, K)) + 1j * rng.standard_normal((L, M, K))
+        expected = raw * np.sqrt(p[None, None, :] * beta[:, None, :] / 2.0)
+        assert np.array_equal(H.view(float), expected.view(float))
+        assert rng.bit_generator.state == end
 
     def test_generated_matrices_are_full_rank(self):
         cfg = _cfg(K=8, L=4, M=8, N=4)
