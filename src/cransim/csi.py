@@ -23,13 +23,14 @@ def estimate_channels(channels, pilot_snr, rng):
     noise is drawn once and every SNR scales the same draw. Returns (H_hat,
     err_var) of shapes pilot_snr.shape + (L, M, K) and pilot_snr.shape + (L, K).
     """
-    L, M, K = channels.H.shape
     snr = np.asarray(pilot_snr, dtype=float)[..., None, None]
     if np.any(snr <= 0):
         raise ValueError("pilot_snr must be > 0")
 
     sigma2 = channels.p[None, :] * channels.beta          # (L, K) prior variance
-    noise = (rng.standard_normal((L, M, K)) + 1j * rng.standard_normal((L, M, K))) / np.sqrt(2.0)
+    noise = np.empty(channels.H.shape, dtype=complex)
+    noise.real, noise.imag = rng.standard_normal((2,) + noise.shape)  # real parts drawn first
+    noise /= np.sqrt(2.0)
     coeff = np.sqrt(snr) * sigma2 / (1.0 + snr * sigma2)   # (..., L, K)
     H_hat = coeff[..., None, :] * (np.sqrt(snr)[..., None] * channels.H + noise)
     err_var = sigma2 / (1.0 + snr * sigma2)

@@ -22,6 +22,8 @@ DEGENERATE_PROJECTION_TOL = 1e-12
 # relative tie window in the argmax; lowest user index wins inside it
 ARGMAX_TIE_REL_TOL = 1e-12
 
+MAX_RHO = 1e12  # largest linear SNR (120 dB); above it greedy gains can round negative
+
 
 @dataclass
 class DimensionReductionResult:
@@ -104,16 +106,18 @@ def mfgs_select(H, rho, N):
     logged warning and a zero column in Q.
 
     H is the (..., L, M, K) stack of channel matrices and rho a scalar or an
-    array; any leading axes of H and the shape of rho broadcast to a batch of
-    independent problems run in lockstep, each with its own running inverse,
-    candidates, skips and ties. The fields of the result then carry the batch
-    axes in front. An unbatched call is the batch of one.
+    array in (0, MAX_RHO]; any leading axes of H and the shape of rho broadcast
+    to a batch of independent problems run in lockstep, each with its own
+    running inverse, candidates, skips and ties. The fields of the result then
+    carry the batch axes in front. An unbatched call is the batch of one.
     """
     H = np.asarray(H)
     L, M, K = H.shape[-3:]
     if not 1 <= N <= min(M, K):
         raise ValueError(f"N must satisfy 1 <= N <= min(M, K) = {min(M, K)}")
     rho = np.asarray(rho, dtype=float)
+    if not np.all((rho > 0) & (rho <= MAX_RHO)):
+        raise ValueError(f"rho must lie in (0, 1e12] (120 dB), got {rho}")
     batch = np.broadcast(H[..., 0, 0, 0], rho).shape
     if H.shape[:-3] != batch:
         H = np.broadcast_to(H, batch + (L, M, K))

@@ -7,8 +7,8 @@ across modes, sweep values and CSI settings.
 """
 
 import csv
+import logging
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -21,6 +21,7 @@ from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
 from .linalg import adjoint
 from .scenario import PERFECT_CSI, SystemConfig, generate_realization, is_integer, is_real
 
+log = logging.getLogger(__name__)
 CONFIG_SCHEMA = "cransim-sweep-v1"
 
 MODES = ("proposed", "local_baseline", "unquantized", "cutset")
@@ -28,20 +29,19 @@ CSI_MODES = ("perfect", "pilot")
 _CSI_LABELS = {"perfect": "perfect", "pilot": "lower-bound"}
 SWEEP_VARIABLES = ("fronthaul_rate", "rho", "N", "pilot_snr")
 
-OUTPUTS = ("sum_capacity", "user_capacity", "baseline", "mi_proportion", "cutset", "best_n")
-
 # (mode, metric) rows switched on by each requested output, in emission order
 _OUTPUT_ROWS = {
     "sum_capacity": (("proposed", "sum_capacity"), ("proposed", "lmmse_sum_capacity")),
     "user_capacity": (("proposed", "user_capacity"),),
-    "best_n": (("best_n", "sum_capacity"),),
     "baseline": (("local_baseline", "sum_capacity"),
                  ("local_baseline", "lmmse_sum_capacity"),
                  ("local_baseline", "user_capacity")),
     "mi_proportion": (("unquantized", "reduced_mi"), ("unquantized", "full_mi"),
                       ("unquantized", "mi_proportion")),
     "cutset": (("cutset", "cutset"),),
+    "best_n": (("best_n", "sum_capacity"),),
 }
+OUTPUTS = tuple(_OUTPUT_ROWS)
 
 
 @dataclass
@@ -131,12 +131,12 @@ def trial_stream(master_seed, trial, lane=0):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial, lane)))
 
 
-def _check_dimension_advice(config):
-    if config.N < math.ceil(config.K / config.L):
-        warnings.warn(
-            f"N = {config.N} is below ceil(K/L) = {math.ceil(config.K / config.L)}; "
-            "the reduced signals cannot span all users and performance will suffer",
-            stacklevel=3)
+def _check_dimension_advice(configs):
+    span = math.ceil(configs[0].K / configs[0].L)
+    low = sorted({cfg.N for cfg in configs if cfg.N < span})
+    if low:
+        log.warning("N = %s is below ceil(K/L) = %d; the reduced signals cannot span all "
+                    "users and performance will suffer", ", ".join(map(str, low)), span)
 
 
 def csi_mode(pilot_snr):
@@ -172,25 +172,22 @@ def _designs(trials, base, keys, nmax, baseline):
     """The _Design of one CSI mode's (pilot_snr, rho) keys on the realizations of `trials`.
 
     Each trial draws its channels from its own lane-0 stream and its pilot
-    noise from lane 1. Estimation, whitening, selection and the full MI each
-    run once over the (trial, key) stack, and the cut-set MI of the true
-    channels once per distinct rho. nmax = 0 skips selection.
+    noise from lane 1. Every design starts as the perfect-CSI one; pilot CSI
+    swaps in the whitened estimates as H and their MI as full_mi. Each step
+    runs once over the (trial, key) stack. nmax = 0 skips selection.
     """
     pilot, rho = map(np.array, zip(*keys))
     channels = [generate_realization(base, trial_stream(base.rng_seed, t, 0)) for t in trials]
     H_true = np.stack([c.H for c in channels])[:, None]
     rho, extra = np.broadcast_to(rho.astype(float), (len(trials), len(keys))), {}
+    H = np.broadcast_to(H_true, rho.shape + H_true.shape[-3:])
+    full_mi = cutset_mi = full_joint_mi(H_true, rho)
     if csi_mode(pilot[0]) == "pilot":
         H_hat, err_var = zip(*[estimate_channels(c, pilot, trial_stream(base.rng_seed, t, 1))
                                for c, t in zip(channels, trials)])
         H, omega = whiten(np.stack(H_hat), np.stack(err_var), rho)
         full_mi = full_joint_mi(H, rho)
-        rhos, which = np.unique(rho[0], return_inverse=True)
-        cutset_mi = full_joint_mi(H_true, rhos)[:, which]
         extra = {"H_true": H_true, "omega": omega}
-    else:
-        H = np.broadcast_to(H_true, rho.shape + H_true.shape[-3:])
-        full_mi = cutset_mi = full_joint_mi(H_true, rho)
     return _Design(rho=rho, H=H, full_mi=full_mi, cutset_mi=cutset_mi,
                    selection=mfgs_select(H, rho, nmax) if nmax else None,
                    baseline_Q=signal_space_basis(H) if baseline else None, **extra)
@@ -268,9 +265,9 @@ def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
     if not is_integer(trial) or trial < 0:
         raise ValueError(f"trial must be a non-negative integer, got {trial!r}")
     if mode in ("proposed", "unquantized"):
-        _check_dimension_advice(config)
+        _check_dimension_advice([config])
     wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS | _DIAGNOSTICS
-    samples, _ = _collect(config, [config], [f"R={config.fronthaul_rate}, rho={config.rho}"],
+    samples, _ = _collect([config], [f"R={config.fronthaul_rate}, rho={config.rho}"],
                           range(trial, trial + 1), surcharge, {mode: wanted}, [])
     metrics = {metric: x[0, 0, 0] for (_, _, metric), x in samples.items()}
     diagnostics = {m: metrics.pop(m) for m in list(metrics) if m in _DIAGNOSTICS}
@@ -302,79 +299,70 @@ def mi_proportion_sweep(config, rho_values, n_values, trials):
             raise ValueError(f"{name} must be non-empty")
     rhos = SweepSpec(config, "rho", rho_values, trials, outputs=("mi_proportion",)).configs()
     configs = [replace(cfg, N=n) for cfg in rhos for n in n_values]
-    samples, at = _collect(config, configs, [f"rho={c.rho}, N={c.N}" for c in configs],
+    samples, at = _collect(configs, [f"rho={c.rho}, N={c.N}" for c in configs],
                            range(trials), 0.0, {"unquantized": {"mi_proportion"}}, [])
     means = [np.mean(samples[("unquantized", c.N, "mi_proportion")][at[i]])
              for i, c in enumerate(configs)]
     return np.reshape(means, (len(rho_values), len(n_values)))
 
 
-def _collect(base, configs, labels, trials, surcharge, read, cands):
+def _collect(configs, labels, trials, surcharge, read, cands):
     """Paired per-trial samples of every evaluation the configs need, over a range of trials.
 
-    read maps each mode to the metrics its rows read; each best-N candidate
-    in cands adds a proposed sum capacity. Trials run in chunks of at most
-    _CHUNK_ELEMENTS stacked (trial, key) channel elements: per chunk, one
-    batched design step covers every trial and distinct SNR and CSI state,
-    and each (mode, n) group runs one stacked _evaluate over the trials and
-    all the configs' fronthaul rates and CSI keys, which wastes no cell as
-    every caller's configs form a product grid over (rate, key, N) in one CSI
-    mode. Samples do not depend on the chunk size. Returns (samples, at):
-    samples maps (mode, n, metric) to a contiguous array of the metric's
-    dtype, shaped (rates, keys, trials) followed by the metric's own axes,
-    and config i reads cell at[i]. A failing chunk is re-run one trial at a
-    time, and a failing trial re-raised as a RuntimeError naming it, the
-    labels of the configs in the failing step (all of them unless one fails
-    alone), the mode and the CSI mode: a failing group of several configs
-    re-runs _collect on each alone, and the first that fails raises its own.
+    The configs differ only in rate, rho, N and pilot SNR; channels are drawn
+    from configs[0]. read maps each mode to the metrics its rows read; each
+    best-N candidate in cands adds a proposed sum capacity. Trials run in
+    chunks of at most _CHUNK_ELEMENTS stacked (trial, key) channel elements:
+    per chunk, one batched design step covers every trial and distinct SNR
+    and CSI state, and each (mode, n) group runs one stacked _evaluate over
+    the trials and all the configs' fronthaul rates and CSI keys, which wastes
+    no cell as every caller's configs form a product grid over (rate, key, N)
+    in one CSI mode. Samples do not depend on the chunk size. Returns (samples,
+    at): samples maps (mode, n, metric) to a contiguous array of the metric's
+    dtype, shaped (rates, keys, trials) followed by the metric's own axes, and
+    config i reads cell at[i]. A failing chunk is re-run one trial at a time,
+    and a failing trial of several configs on each config alone: the first to
+    fail alone raises its own RuntimeError naming the trial, its label, the
+    step and the CSI mode. If none fails alone, the error names every label.
     """
     check_surcharge(surcharge)
+    base = configs[0]
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
     nmax = max(dims + cands, default=0)
-    baseline = "local_baseline" in read
-    csi = csi_mode(configs[0].pilot_snr)
     keys = list(dict.fromkeys((cfg.pilot_snr, cfg.rho) for cfg in configs))
     rates = list(dict.fromkeys(cfg.fronthaul_rate for cfg in configs))
     at = [(rates.index(cfg.fronthaul_rate), keys.index((cfg.pilot_snr, cfg.rho)))
           for cfg in configs]
 
-    # (mode, n) -> (metrics, member config indices); proposed at N doubles as candidate N
-    groups = {}
-    for ci, cfg in enumerate(configs):
+    groups = {}     # (mode, n) -> metrics; proposed at N doubles as candidate N
+    for cfg in configs:
         needs = [(mode, _n_column(mode, cfg), metrics) for mode, metrics in read.items()]
         for mode, n, metrics in needs + [("proposed", c, {"sum_capacity"}) for c in cands]:
-            wanted, members = groups.setdefault((mode, n), (set(), {}))
-            wanted |= metrics
-            members[ci] = None
+            groups.setdefault((mode, n), set()).update(metrics)
 
     samples = {}    # (mode, n, metric) -> array of shape (rates, keys, trials, ...)
     size = max(1, _CHUNK_ELEMENTS // (len(keys) * base.L * base.M * base.K))
     todo = [trials[i:i + size] for i in reversed(range(0, len(trials), size))]  # a stack
     while todo:
-        chunk, step = todo.pop(), None      # step: the failing (mode, n) group, None in design
+        chunk, step = todo.pop(), "the design step"
         cols = slice(chunk.start - trials.start, chunk.stop - trials.start)
         try:
-            design = _designs(chunk, base, keys, nmax, baseline)
-            for step in groups:
-                metrics = _evaluate(design, *step, rates, groups[step][0], surcharge)
+            design = _designs(chunk, base, keys, nmax, "local_baseline" in read)
+            for (mode, n), wanted in groups.items():
+                step = f"mode '{mode}' at N={n}"
+                metrics = _evaluate(design, mode, n, rates, wanted, surcharge)
                 for metric, value in metrics.items():
-                    x = samples.setdefault(step + (metric,), np.empty(
+                    x = samples.setdefault((mode, n, metric), np.empty(
                         (len(rates), len(keys), len(trials)) + value.shape[3:], value.dtype))
                     x[:, :, cols] = value.swapaxes(1, 2)
         except Exception as exc:
             if len(chunk) > 1:      # rare path: re-run the chunk one trial at a time
                 todo += [range(t, t + 1) for t in reversed(chunk)]
                 continue
-            if step is None:
-                raise RuntimeError(f"trial {chunk[0]} failed at {', '.join(labels)} in the "
-                                   f"design step (csi={csi})") from exc
-            (mode, n), members = step, list(groups[step][1])
-            for ci in members if len(members) > 1 else []:  # the first to fail alone raises
-                _collect(base, configs[ci:ci + 1], labels[ci:ci + 1], chunk, surcharge, read,
-                         cands)
-            raise RuntimeError(f"trial {chunk[0]} failed at "
-                               f"{', '.join(labels[ci] for ci in members)} in mode "
-                               f"'{mode}' at N={n} (csi={csi})") from exc
+            for ci in range(len(configs)) if len(configs) > 1 else []:  # first to fail raises
+                _collect(configs[ci:ci + 1], labels[ci:ci + 1], chunk, surcharge, read, cands)
+            raise RuntimeError(f"trial {chunk[0]} failed at {', '.join(labels)} in {step} "
+                               f"(csi={csi_mode(base.pilot_snr)})") from exc
     return samples, at
 
 
@@ -403,7 +391,6 @@ def run_sweep(spec, surcharge=0.0):
     failure is re-raised as a RuntimeError naming the trial, sweep value, mode
     and CSI mode.
     """
-    base = spec.base
     configs = spec.configs()
     rows_wanted = [row for output in spec.outputs for row in _OUTPUT_ROWS[output]]
     cands = sorted({int(n) for n in spec.n_candidates}) if "best_n" in spec.outputs else []
@@ -412,9 +399,8 @@ def run_sweep(spec, surcharge=0.0):
         if mode != "best_n":
             read.setdefault(mode, set()).add(metric)
     if read.keys() & {"proposed", "unquantized"}:
-        for cfg in configs:
-            _check_dimension_advice(cfg)
-    samples, at = _collect(base, configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
+        _check_dimension_advice(configs)
+    samples, at = _collect(configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
                            range(spec.trials), surcharge, read, cands)
     stats = _mean_p05(samples)
 
@@ -429,7 +415,7 @@ def run_sweep(spec, surcharge=0.0):
                                  csi_mode=_CSI_LABELS[csi_mode(cfg.pilot_snr)], N=int(n),
                                  metric=metric, mean=float(mean[at[ci]]),
                                  p05=float(p05[at[ci]]), trials=spec.trials,
-                                 seed=base.rng_seed))
+                                 seed=spec.base.rng_seed))
     return rows
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dimred import MAX_RHO
+
 PERFECT_CSI = "perfect"
 
 # log-distance reference; absolute scale is absorbed by power control anyway
@@ -73,7 +75,7 @@ class SystemConfig:
             raise ValueError("K, L, M must be positive integers")
         if not 1 <= self.N <= self.max_components:
             raise ValueError(f"N must satisfy 1 <= N <= min(M, K) = {self.max_components}")
-        if not 0 < self.rho <= 1e12:    # above 120 dB greedy gains can round negative
+        if not 0 < self.rho <= MAX_RHO:
             raise ValueError(f"rho must be a positive linear SNR <= 1e12 (120 dB), got {self.rho!r}")
         # NaN fails; inf is the unquantized limit
         if not (is_real(self.fronthaul_rate) and self.fronthaul_rate >= 0):

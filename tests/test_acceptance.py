@@ -29,6 +29,15 @@ def _report(num, name, passed, detail=""):
     assert passed, f"criterion {num} failed: {name}{suffix}"
 
 
+def _margins(diffs):
+    """The smallest paired difference, and the smallest per-cell fraction of positive ones.
+
+    A cell is one index of every axis of diffs but the last, the trial axis.
+    """
+    return (f"min paired difference {diffs.min():+.3g} bits, "
+            f"min positive fraction {(diffs > 0).mean(axis=-1).min():.3f}")
+
+
 def _paired_samples(cfg, R_values, rho_values, cands, trials):
     """Paired per-trial samples from the sweep kernel over a (rate, SNR) grid.
 
@@ -37,7 +46,7 @@ def _paired_samples(cfg, R_values, rho_values, cands, trials):
     the cut-set bound, each (rates, rhos, trials).
     """
     configs = [replace(cfg, fronthaul_rate=R, rho=rho) for R in R_values for rho in rho_values]
-    samples, _ = _collect(cfg, configs, [f"R={c.fronthaul_rate}, rho={c.rho}" for c in configs],
+    samples, _ = _collect(configs, [f"R={c.fronthaul_rate}, rho={c.rho}" for c in configs],
                           range(trials), 0.0,
                           {"local_baseline": {"sum_capacity"}, "cutset": {"cutset"}}, cands)
     cap = np.stack([samples[("proposed", n, "sum_capacity")] for n in cands], axis=2)
@@ -246,11 +255,11 @@ def test_criterion_08_rate_capacity_dominance_and_cutset_proximity():
     cap, base, cut = (x[:, 0] for x in _paired_samples(cfg, R_values, [cfg.rho], cands, 200))
 
     mean_cap = cap.mean(axis=2)
-    pvals, ratios = [], []
+    pvals, ratios, diffs = [], [], []
     for i, R in enumerate(R_values):
         n_star_idx = int(np.argmax(mean_cap[i]))
-        diffs = cap[i, n_star_idx] - base[i]
-        pvals.append(scipy.stats.wilcoxon(diffs, alternative="greater").pvalue)
+        diffs.append(cap[i, n_star_idx] - base[i])
+        pvals.append(scipy.stats.wilcoxon(diffs[-1], alternative="greater").pvalue)
         if R * cfg.L <= 40.0:
             ratios.append(mean_cap[i, cands.index(2)] / cut[i].mean())
     dominance = all(p < 0.05 for p in pvals)
@@ -258,7 +267,8 @@ def test_criterion_08_rate_capacity_dominance_and_cutset_proximity():
     _report(8, "best-N dominates local compression at every rate; N=2 achieves >= 85% "
                "of the cut-set bound in the rate-limited regime",
             dominance and proximity,
-            f"max p-value {max(pvals):.2e}, min N=2/cutset ratio {min(ratios):.3f}")
+            f"max p-value {max(pvals):.2e}, {_margins(np.array(diffs))}, "
+            f"min N=2/cutset ratio {min(ratios):.3f}")
 
 
 def test_criterion_09_imperfect_csi_trends():
@@ -307,10 +317,12 @@ def test_criterion_11_gain_over_local_compression_grows_with_snr():
     best_cap = np.take_along_axis(cap, best[..., None, None], axis=2)[:, :, 0]
     pvals = scipy.stats.wilcoxon(best_cap - base, alternative="greater", axis=-1).pvalue
     gain = best_cap.mean(axis=-1) / base.mean(axis=-1) - 1.0
-    growing = bool(np.all(np.diff(gain, axis=1) >= 0.0))
+    steps = np.diff(gain, axis=1)
+    growing = bool(np.all(steps >= 0.0))
     _report(11, "best-N beats local compression at every (R, SNR) point, by a relative "
                 "gain that does not shrink as SNR rises",
             bool(np.all(pvals < 0.05)) and growing,
-            f"max p-value {pvals.max():.2e}, gains at 0/10/20/30 dB: " + "; ".join(
+            f"max p-value {pvals.max():.2e}, {_margins(best_cap - base)}, min gain step "
+            f"{100 * steps.min():+.1f} points, gains at 0/10/20/30 dB: " + "; ".join(
                 f"R={R:g}: " + ", ".join(f"{100 * g:+.1f}%" for g in row)
                 for R, row in zip(R_values, gain)))

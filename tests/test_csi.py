@@ -77,6 +77,20 @@ class TestEstimation:
         assert abs(cross.mean().real) < 4 * stderr
         assert abs(cross.mean().imag) < 4 * stderr
 
+    @pytest.mark.parametrize("K, L, M", [(8, 4, 8), (64, 32, 16)])
+    def test_noise_is_two_scaled_normal_draws(self, K, L, M):
+        ch, snr = _channels(seed=3, K=K, L=L, M=M), np.array([1.0, 10.0])[:, None, None]
+        rng = np.random.default_rng(31)
+        start = rng.bit_generator.state
+        H_hat, _ = estimate_channels(ch, snr[:, 0, 0], rng)
+        end, rng.bit_generator.state = rng.bit_generator.state, start
+        raw = rng.standard_normal((L, M, K)) + 1j * rng.standard_normal((L, M, K))
+        sigma2 = ch.p[None, :] * ch.beta
+        coeff = np.sqrt(snr) * sigma2 / (1.0 + snr * sigma2)
+        expected = coeff[..., None, :] * (np.sqrt(snr)[..., None] * ch.H + raw / np.sqrt(2.0))
+        assert np.array_equal(H_hat.view(float), expected.view(float))
+        assert rng.bit_generator.state == end
+
     def test_error_variance_decreases_with_pilot_snr(self):
         ch = _channels(seed=5)
         prev = None

@@ -126,6 +126,21 @@ class TestGreedySelection:
         sel = mfgs_select(H, 12.0, N)
         assert sel.S == greedy_reference(H, 12.0, N)
 
+    @staticmethod
+    def _two_by_two_trials():
+        """20 trials of (K,L,M) = (2,2,2); at rho = 1e16 trial 6's greedy MI rounds to NaN."""
+        cfg = SystemConfig(K=2, L=2, M=2, N=2, rng_seed=0)
+        return np.stack([generate_realization(cfg, trial_stream(0, t, 0)).H for t in range(20)])
+
+    @pytest.mark.parametrize("rho", [1e16, np.where(np.arange(20) == 6, 1e13, 10.0), 0.0])
+    def test_rho_outside_the_accepted_range_is_rejected(self, rho):
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1e12\]"):
+            mfgs_select(self._two_by_two_trials(), rho, 2)
+
+    def test_rho_at_the_limit_gives_a_finite_trajectory(self):
+        sel = mfgs_select(self._two_by_two_trials(), 1e12, 2)
+        assert np.all(np.isfinite(sel.mi_trajectory))
+
     def test_trajectory_and_basis_invariants(self, rng):
         K, L, M, N, rho = 8, 4, 8, 4, 10 ** 1.5
         H = random_channels(K, L, M, rng)

@@ -47,7 +47,6 @@ def _assert_close(got, want, where):
         assert math.isclose(got, want, rel_tol=REL_TOL), f"{where}: {got!r} vs {want!r}"
 
 
-@pytest.mark.filterwarnings("ignore:N = 1 is below")
 @pytest.mark.parametrize("name", sorted(make_golden.SWEEPS))
 def test_sweep_matches_golden(name, tmp_path):
     path = tmp_path / f"{name}.csv"

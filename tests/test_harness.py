@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -117,10 +118,13 @@ class TestRunTrial:
             assert all(diag[name].shape == (3, n) for name in ("lam", "rates", "Phi"))
             assert diag["active"].shape == (3,)
 
-    def test_low_dimension_warning(self):
+    def test_low_dimension_warning(self, caplog):
         cfg = _cfg(K=6, L=1, M=6, N=2)   # ceil(K/L) = 6 > N
-        with pytest.warns(UserWarning, match="below ceil"):
+        with caplog.at_level(logging.WARNING, logger="cransim.harness"):
             run_trial(cfg, mode="proposed", trial=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "N = 2 is below ceil(K/L) = 6; the reduced signals cannot span all users and "
+            "performance will suffer"]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -469,6 +473,13 @@ class TestRunSweep:
         _assert_batch_independent("fronthaul_rate", [1.0, 4.0, 16.0], csi,
                                   LLOYD_MAX_RATE_PENALTY)
 
+    def test_low_dimension_warning_is_one_record_naming_every_low_n(self, caplog):
+        spec = _spec(_cfg(K=6, L=2, M=6, N=2), sweep_variable="N", values=[1, 3, 2, 1], trials=1)
+        with caplog.at_level(logging.WARNING, logger="cransim.harness"):
+            run_sweep(spec)
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == [
+            "N = 1, 2 is below ceil(K/L) = 3"]
+
     def test_failure_names_trial_value_mode_and_csi(self, monkeypatch):
         def boom(*a, **k):
             raise ArithmeticError("synthetic failure")
@@ -559,9 +570,22 @@ class TestRunSweep:
             raise ArithmeticError("synthetic failure")
         monkeypatch.setattr(harness, "mfgs_select", boom)
         spec = _spec(_cfg(pilot_snr=10.0), sweep_variable="pilot_snr", values=[1.0, 100.0])
-        with pytest.raises(RuntimeError, match=r"trial 0 failed at pilot_snr=1.0, "
-                                               r"pilot_snr=100.0 in the design step "
-                                               r"\(csi=pilot\)") as info:
+        with pytest.raises(RuntimeError, match=r"trial 0 failed at pilot_snr=1.0 in the design "
+                                               r"step \(csi=pilot\)") as info:
+            run_sweep(spec)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_design_failure_of_one_value_names_that_value(self, monkeypatch):
+        real = harness.estimate_channels
+
+        def fails_at_hundred(channels, pilot_snr, rng):
+            if np.any(np.asarray(pilot_snr) == 100.0):
+                raise ArithmeticError("synthetic failure")
+            return real(channels, pilot_snr, rng)
+        monkeypatch.setattr(harness, "estimate_channels", fails_at_hundred)
+        spec = _spec(_cfg(pilot_snr=10.0), sweep_variable="pilot_snr", values=[1.0, 100.0])
+        with pytest.raises(RuntimeError, match=r"^trial 0 failed at pilot_snr=100.0 in the design "
+                                               r"step \(csi=pilot\)$") as info:
             run_sweep(spec)
         assert isinstance(info.value.__cause__, ArithmeticError)
 

@@ -9,7 +9,6 @@ LMMSE <= sum <= reduced <= full and sum <= cut-set within criterion 06's
 import math
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +29,6 @@ def small_configs(draw):
                         rng_seed=draw(st.integers(0, 2 ** 16)))
 
 
-@pytest.mark.filterwarnings("ignore:N = .* is below ceil")
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(cfg=small_configs())
 def test_sweeps_are_finite_and_perfect_csi_trials_keep_the_ordering_chain(cfg):
