@@ -7,14 +7,11 @@ joint mutual-information gain, evaluated cheaply through a running K x K
 inverse that is refreshed with a rank-1 update after each pick.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import adjoint, gram, hermitize, logdet2_hpd
-
-log = logging.getLogger(__name__)
 
 # squared projected norm below this is treated as a linearly dependent candidate
 DEGENERATE_PROJECTION_TOL = 1e-12
@@ -102,8 +99,8 @@ def mfgs_select(H, rho, N):
     inverse A gets an in-place rank-1 update, and the gain is recorded (A is
     hermitized once, into A_final). Ties within a relative window go to the
     lowest user index. Candidates whose projection is numerically degenerate
-    are excluded; if none remain the receiver is skipped for the round with a
-    logged warning and a zero column in Q.
+    are excluded; if none remain the receiver is skipped for the round, which
+    is recorded as data only: pick -1 and a zero column in Q.
 
     H is the (..., L, M, K) stack of channel matrices and rho a scalar or an
     array in (0, MAX_RHO]; any leading axes of H and the shape of rho broadcast
@@ -152,11 +149,6 @@ def mfgs_select(H, rho, N):
             norm = np.sqrt(pnorm2[at, chosen])
             skip = best == -np.inf
             if skip.any():
-                for b in np.flatnonzero(skip):
-                    element = tuple(map(int, np.unravel_index(b, batch)))
-                    log.warning("receiver %d has no independent candidates in round %d%s; "
-                                "skipped", l, rnd,
-                                f" of batch element {element}" if batch else "")
                 # q = 0 and a zero gain leave A, W and the MI as they are; the
                 # receiver's state never changes again, so every later round
                 # skips it too and marking user K-1 as taken is harmless

@@ -77,9 +77,9 @@ class SweepSpec:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not self.outputs:
             raise ValueError("outputs must be non-empty")
-        unknown = set(self.outputs) - set(OUTPUTS)
+        unknown = [o for o in self.outputs if o not in OUTPUTS]
         if unknown:
-            raise ValueError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUTS}")
+            raise ValueError(f"unknown outputs {unknown}; valid: {OUTPUTS}")
         if "best_n" in self.outputs and not self.n_candidates:
             raise ValueError("output 'best_n' requires a non-empty n_candidates list")
         maxc = self.base.max_components
@@ -129,14 +129,6 @@ def trial_stream(master_seed, trial, lane=0):
     replays it, which keeps draws paired across modes and sweep values.
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial, lane)))
-
-
-def _check_dimension_advice(configs):
-    span = math.ceil(configs[0].K / configs[0].L)
-    low = sorted({cfg.N for cfg in configs if cfg.N < span})
-    if low:
-        log.warning("N = %s is below ceil(K/L) = %d; the reduced signals cannot span all "
-                    "users and performance will suffer", ", ".join(map(str, low)), span)
 
 
 def csi_mode(pilot_snr):
@@ -264,8 +256,6 @@ def run_trial(config, mode="proposed", trial=0, surcharge=0.0):
         raise ValueError(f"mode must be one of {MODES}")
     if not is_integer(trial) or trial < 0:
         raise ValueError(f"trial must be a non-negative integer, got {trial!r}")
-    if mode in ("proposed", "unquantized"):
-        _check_dimension_advice([config])
     wanted = {"cutset", "full_mi"} if mode == "cutset" else _TRIAL_METRICS | _DIAGNOSTICS
     samples, _ = _collect([config], [f"R={config.fronthaul_rate}, rho={config.rho}"],
                           range(trial, trial + 1), surcharge, {mode: wanted}, [])
@@ -324,11 +314,17 @@ def _collect(configs, labels, trials, surcharge, read, cands):
     and a failing trial of several configs on each config alone: the first to
     fail alone raises its own RuntimeError naming the trial, its label, the
     step and the CSI mode. If none fails alone, the error names every label.
+    Only here are rare paths logged: any N below ceil(K/L) before the first chunk,
+    and after the last, one warning per (pilot_snr, rho) state whose selection skipped.
     """
     check_surcharge(surcharge)
     base = configs[0]
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
     nmax = max(dims + cands, default=0)
+    span = math.ceil(base.K / base.L)
+    if low := sorted({n for n in dims if n < span}):
+        log.warning("N = %s is below ceil(K/L) = %d; the reduced signals cannot span all "
+                    "users and performance will suffer", ", ".join(map(str, low)), span)
     keys = list(dict.fromkeys((cfg.pilot_snr, cfg.rho) for cfg in configs))
     rates = list(dict.fromkeys(cfg.fronthaul_rate for cfg in configs))
     at = [(rates.index(cfg.fronthaul_rate), keys.index((cfg.pilot_snr, cfg.rho)))
@@ -341,6 +337,7 @@ def _collect(configs, labels, trials, surcharge, read, cands):
             groups.setdefault((mode, n), set()).update(metrics)
 
     samples = {}    # (mode, n, metric) -> array of shape (rates, keys, trials, ...)
+    skips = np.full((len(trials), len(keys)), nmax)    # first skipped round per (trial, key)
     size = max(1, _CHUNK_ELEMENTS // (len(keys) * base.L * base.M * base.K))
     todo = [trials[i:i + size] for i in reversed(range(0, len(trials), size))]  # a stack
     while todo:
@@ -348,6 +345,8 @@ def _collect(configs, labels, trials, surcharge, read, cands):
         cols = slice(chunk.start - trials.start, chunk.stop - trials.start)
         try:
             design = _designs(chunk, base, keys, nmax, "local_baseline" in read)
+            if nmax:    # skips last to the final round: the fewest picks is the first skip
+                skips[cols] = (design.selection.users >= 0).sum(axis=-1).min(axis=-1)
             for (mode, n), wanted in groups.items():
                 step = f"mode '{mode}' at N={n}"
                 metrics = _evaluate(design, mode, n, rates, wanted, surcharge)
@@ -363,6 +362,11 @@ def _collect(configs, labels, trials, surcharge, read, cands):
                 _collect(configs[ci:ci + 1], labels[ci:ci + 1], chunk, surcharge, read, cands)
             raise RuntimeError(f"trial {chunk[0]} failed at {', '.join(labels)} in {step} "
                                f"(csi={csi_mode(base.pilot_snr)})") from exc
+    for (pilot, rho), first in zip(keys, skips.T):
+        if hit := np.flatnonzero(first < nmax).tolist():
+            log.warning("selection skipped a receiver from round %d in %d of %d trials at "
+                        "pilot_snr=%s, rho=%s (first: trial %d)", first.min(), len(hit),
+                        len(trials), pilot, rho, trials[hit[0]])
     return samples, at
 
 
@@ -398,8 +402,6 @@ def run_sweep(spec, surcharge=0.0):
     for mode, metric in rows_wanted:
         if mode != "best_n":
             read.setdefault(mode, set()).add(metric)
-    if read.keys() & {"proposed", "unquantized"}:
-        _check_dimension_advice(configs)
     samples, at = _collect(configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
                            range(spec.trials), surcharge, read, cands)
     stats = _mean_p05(samples)

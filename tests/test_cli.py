@@ -222,6 +222,7 @@ class TestConfigErrors:
          "n_candidates must be integers in [1, 4]"),
         ({"values": 3}, "sweep values must be a list, got 3"),
         ({"values": [1.0], "outputs": []}, "outputs must be non-empty"),
+        ({"values": [1.0], "outputs": [["x"]]}, "unknown outputs [['x']]"),
         ({"variable": "pilot_snr", "values": [10.0, "perfect"]},
          "sweep values must be real numbers"),
     ])

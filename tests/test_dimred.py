@@ -215,14 +215,15 @@ class TestGreedySelection:
         # rank-1 channel matrix: the second round has no independent candidate
         col = np.array([1.0 + 0.5j, -2.0 + 0j])
         H = [np.column_stack([col, 2.0 * col])]
-        with caplog.at_level(logging.WARNING, logger="cransim.dimred"):
+        with caplog.at_level(logging.DEBUG):
             sel = mfgs_select(H, 4.0, 2)
         assert len(sel.S[0]) == 1
         assert sel.mi_trajectory.shape == (2,)
         assert sel.mi_trajectory[0] == pytest.approx(sel.mi_trajectory[1])
-        assert any("no independent candidates" in r.message for r in caplog.records)
+        assert caplog.records == []     # the skip is data: pick -1 and a zero column
+        assert sel.users[0, 1] == -1 and not sel.Q[0, :, 1].any()
 
-    def test_batch_elements_equal_their_own_runs(self, rng, caplog):
+    def test_batch_elements_equal_their_own_runs(self, rng):
         # a batch of 4 at different SNRs; receiver 1 of element 2 has a rank-1
         # channel (skipped in rounds 1 and 2) and receiver 0 of element 1 a
         # rank-2 channel (skipped in round 2)
@@ -231,17 +232,7 @@ class TestGreedySelection:
         H[2, 1] = np.outer(H[2, 1, :, 0], rng.standard_normal(K))
         H[1, 0] = H[1, 0, :, :2] @ rng.standard_normal((2, K))
         rho = np.array([2.0, 15.0, 60.0, 300.0])
-        with caplog.at_level(logging.WARNING, logger="cransim.dimred"):
-            batched = mfgs_select(H, rho, N)
-        skips = [r.getMessage() for r in caplog.records if "no independent" in r.message]
-        assert sorted(skips) == sorted([
-            "receiver 0 has no independent candidates in round 2 of batch element (1,); "
-            "skipped",
-            "receiver 1 has no independent candidates in round 1 of batch element (2,); "
-            "skipped",
-            "receiver 1 has no independent candidates in round 2 of batch element (2,); "
-            "skipped"])
-
+        batched = mfgs_select(H, rho, N)
         assert batched.Q.shape == (4, L, M, N) and batched.mi_trajectory.shape == (4, N * L)
         for b in range(4):
             single = mfgs_select(H[b], rho[b], N)

@@ -70,6 +70,18 @@ def _chunked_run(spec, size=None, surcharge=0.0):
     return rows, collected[0][0], chunks
 
 
+def _rank1_receiver_0(when):
+    """generate_realization making receiver 0 rank-1 where `when` accepts the stream's spawn key."""
+    real = harness.generate_realization
+
+    def patched(config, rng):
+        channels = real(config, rng)
+        if when(rng.bit_generator.seed_seq.spawn_key):
+            channels.H[0] = np.outer(channels.H[0, :, 0], np.arange(1.0, config.K + 1))
+        return channels
+    return patched
+
+
 class TestRunTrial:
     def test_unquantized_lossless_dimension_equals_full_mi(self):
         cfg = _cfg(K=4, L=2, M=4, N=4)
@@ -305,8 +317,19 @@ class TestMiProportion:
             for j, n in enumerate(ns):
                 assert table[i, j] == mi_proportion_sweep(cfg, [rho], [n], trials=3)[0, 0]
 
+    def test_low_dimension_advice_is_one_record(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="cransim.harness"):
+            mi_proportion_sweep(_cfg(K=6, L=1, M=6, N=2), [1.0, 10.0], [1, 2, 6], trials=2)
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == [
+            "N = 1, 2 is below ceil(K/L) = 6"]
+
 
 class TestSweepSpec:
+    @pytest.mark.parametrize("bad", [["x"], {}])
+    def test_unhashable_output_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="unknown outputs"):
+            _spec(outputs=("sum_capacity", bad))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             _spec(sweep_variable="bandwidth")
@@ -654,6 +677,29 @@ class TestTrialChunks:
         assert isinstance(info.value.__cause__, ArithmeticError)
         # the 6-trial chunk, trials 0-4 one at a time, then trial 4's two members alone
         assert chunks == [6, 1, 1, 1, 1, 1, 1, 1]
+
+
+class TestSkipReport:
+    def test_names_the_absolute_trial_round_and_csi_state(self, monkeypatch, caplog):
+        # two-trial chunks: trial 5 is element 1 of the third chunk
+        monkeypatch.setattr(harness, "generate_realization",
+                            _rank1_receiver_0(lambda key: key == (5, 0)))
+        spec = _spec(trials=8)
+        with caplog.at_level(logging.WARNING):
+            _, _, chunks = _chunked_run(spec, 2)
+        assert chunks == [2, 2, 2, 2]
+        assert [r.getMessage() for r in caplog.records if r.name == "cransim.harness"] == [
+            "selection skipped a receiver from round 1 in 1 of 8 trials at "
+            f"pilot_snr=perfect, rho={spec.base.rho} (first: trial 5)"]
+
+    def test_one_record_per_csi_state(self, monkeypatch, caplog):
+        monkeypatch.setattr(harness, "generate_realization", _rank1_receiver_0(lambda key: True))
+        spec = _spec(sweep_variable="rho", values=[1.0, 10.0, 100.0], trials=4)
+        with caplog.at_level(logging.WARNING):
+            _chunked_run(spec, 2)
+        assert [r.getMessage() for r in caplog.records if r.name == "cransim.harness"] == [
+            "selection skipped a receiver from round 1 in 4 of 4 trials at "
+            f"pilot_snr=perfect, rho={rho} (first: trial 0)" for rho in spec.values]
 
 
 class TestChunkBudget:
