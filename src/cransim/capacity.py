@@ -43,14 +43,13 @@ def sum_capacity(G, phi, rho):
     return logdet2_hpd(gram(G, rho, phi))
 
 
-def lmmse_sqinr(G, phi, rho):
-    """Per-user SQINR and capacity under LMMSE symbol detection.
+def lmmse_sqinr(B):
+    """Per-user SQINR and capacity under LMMSE symbol detection, from B = gram(G, rho, phi).
 
-    SQINR_k = 1 / [(I_K + rho sum G'(Phi+I)^{-1}G)^{-1}]_kk - 1 and
-    C_k = log2(1 + SQINR_k). Returns (sqinr, user_capacity), both of shape
-    (..., K) over the stack's leading axes.
+    B = I_K + rho sum G'(Phi+I)^{-1}G is the detection matrix, (..., K, K); SQINR_k =
+    1 / [B^{-1}]_kk - 1 and C_k = log2(1 + SQINR_k). Returns (sqinr, user_capacity), both (..., K).
     """
-    Binv = np.linalg.inv(hermitize(gram(G, rho, phi)))
+    Binv = np.linalg.inv(hermitize(B))
     d = np.real(np.diagonal(Binv, axis1=-2, axis2=-1))
     sqinr = np.maximum(1.0 / d - 1.0, 0.0)
     return sqinr, np.log2(1.0 + sqinr)
@@ -69,7 +68,7 @@ def capacity_report(G, phi, H_cutset, H_reference, rho, R, reduced_mi,
     estimates under imperfect CSI) and fixes full_mi; H_cutset carries the true
     channels for the cut-set bound.
     """
-    sqinr, user_c = lmmse_sqinr(G, phi, rho)
+    sqinr, user_c = lmmse_sqinr(gram(G, rho, phi))
     return CapacityReport(
         sum_capacity=sum_capacity(G, phi, rho),
         user_capacity=user_c,

@@ -18,7 +18,7 @@ from .compression import build_plan, check_surcharge
 from .csi import estimate_channels, whiten
 from .dimred import (DimensionReductionResult, full_joint_mi, mfgs_select,
                      signal_space_basis)
-from .linalg import adjoint
+from .linalg import adjoint, gram, logdet2_hpd
 from .scenario import PERFECT_CSI, SystemConfig, generate_realization, is_integer, is_real
 
 log = logging.getLogger(__name__)
@@ -208,8 +208,8 @@ def _evaluate(design, mode, n, R, wanted, surcharge):
     (trial, key) axes, in front of its own. The diagnostics are per-receiver
     arrays: a selecting mode's picks "users" (L, n) and "mi_trajectory"
     (n*L,), a quantising mode's plan "lam", "rates", "Phi" (L, n) and
-    "active" (L,). The harness's only plan and capacity calls, one for all
-    rates and keys, made only when a capacity metric is wanted.
+    "active" (L,). The harness builds plans and detection matrices only here:
+    one of each for all rates and keys, and only when a capacity metric is wanted.
     """
     rho, H, full, sel = design.rho, design.H, design.full_mi, design.selection
     L, R = H.shape[-3], np.asarray(R, dtype=float)
@@ -233,10 +233,11 @@ def _evaluate(design, mode, n, R, wanted, surcharge):
                               surcharge=surcharge)
             G, phi = plan.G, plan.Phi
             out.update(lam=plan.lam[None], rates=plan.rates, Phi=phi, active=plan.active)
+        B = gram(G, rho, phi)
         if "sum_capacity" in wanted:
-            out["sum_capacity"] = cap.sum_capacity(G, phi, rho)
+            out["sum_capacity"] = logdet2_hpd(B)
         if wanted & _LMMSE_METRICS:
-            out["sqinr"], out["user_capacity"] = cap.lmmse_sqinr(G, phi, rho)
+            out["sqinr"], out["user_capacity"] = cap.lmmse_sqinr(B)
             out["lmmse_sum_capacity"] = np.sum(out["user_capacity"], axis=-1)
     shape = R.shape + rho.shape
     return {m: np.broadcast_to(v, shape + np.shape(v)[len(shape):])
@@ -310,21 +311,32 @@ def _collect(configs, labels, trials, surcharge, read, cands):
     in one CSI mode. Samples do not depend on the chunk size. Returns (samples,
     at): samples maps (mode, n, metric) to a contiguous array of the metric's
     dtype, shaped (rates, keys, trials) followed by the metric's own axes, and
-    config i reads cell at[i]. A failing chunk is re-run one trial at a time,
-    and a failing trial of several configs on each config alone: the first to
-    fail alone raises its own RuntimeError naming the trial, its label, the
-    step and the CSI mode. If none fails alone, the error names every label.
-    Only here are rare paths logged: any N below ceil(K/L) before the first chunk,
+    config i reads cell at[i]. A failing chunk is re-run one trial at a time, and a failing
+    trial of several configs on each config alone: the first to fail alone raises its own
+    RuntimeError naming the trial, its label, the step and the CSI mode. If none fails
+    alone, the error names every label. _run_chunks does all this silently; only this
+    wrapper logs a call's rare paths, once: any N below ceil(K/L) before the first chunk,
     and after the last, one warning per (pilot_snr, rho) state whose selection skipped.
     """
     check_surcharge(surcharge)
-    base = configs[0]
     dims = [cfg.N for cfg in configs] if read.keys() & {"proposed", "unquantized"} else []
-    nmax = max(dims + cands, default=0)
-    span = math.ceil(base.K / base.L)
+    span = math.ceil(configs[0].K / configs[0].L)
     if low := sorted({n for n in dims if n < span}):
         log.warning("N = %s is below ceil(K/L) = %d; the reduced signals cannot span all "
                     "users and performance will suffer", ", ".join(map(str, low)), span)
+    nmax = max(dims + cands, default=0)
+    samples, at, skips = _run_chunks(configs, labels, trials, surcharge, read, cands, nmax)
+    for (pilot, rho), first in skips.items():
+        if hit := np.flatnonzero(first < nmax).tolist():
+            log.warning("selection skipped a receiver from round %d in %d of %d trials at "
+                        "pilot_snr=%s, rho=%s (first: trial %d)", first.min(), len(hit),
+                        len(trials), pilot, rho, trials[hit[0]])
+    return samples, at
+
+
+def _run_chunks(configs, labels, trials, surcharge, read, cands, nmax):
+    """_collect's (samples, at) at selection depth nmax, and skips: key -> first skip per trial."""
+    base = configs[0]
     keys = list(dict.fromkeys((cfg.pilot_snr, cfg.rho) for cfg in configs))
     rates = list(dict.fromkeys(cfg.fronthaul_rate for cfg in configs))
     at = [(rates.index(cfg.fronthaul_rate), keys.index((cfg.pilot_snr, cfg.rho)))
@@ -358,16 +370,11 @@ def _collect(configs, labels, trials, surcharge, read, cands):
             if len(chunk) > 1:      # rare path: re-run the chunk one trial at a time
                 todo += [range(t, t + 1) for t in reversed(chunk)]
                 continue
-            for ci in range(len(configs)) if len(configs) > 1 else []:  # first to fail raises
-                _collect(configs[ci:ci + 1], labels[ci:ci + 1], chunk, surcharge, read, cands)
+            for cfg, label in zip(configs, labels) if len(configs) > 1 else []:
+                _run_chunks([cfg], [label], chunk, surcharge, read, cands, nmax)
             raise RuntimeError(f"trial {chunk[0]} failed at {', '.join(labels)} in {step} "
                                f"(csi={csi_mode(base.pilot_snr)})") from exc
-    for (pilot, rho), first in zip(keys, skips.T):
-        if hit := np.flatnonzero(first < nmax).tolist():
-            log.warning("selection skipped a receiver from round %d in %d of %d trials at "
-                        "pilot_snr=%s, rho=%s (first: trial %d)", first.min(), len(hit),
-                        len(trials), pilot, rho, trials[hit[0]])
-    return samples, at
+    return samples, at, dict(zip(keys, skips.T))
 
 
 def _mean_p05(samples):

@@ -4,7 +4,7 @@ import pytest
 from cransim.capacity import capacity_report, cutset_bound, lmmse_sqinr, sum_capacity
 from cransim.compression import build_plan
 from cransim.dimred import full_joint_mi, mfgs_select
-from cransim.linalg import adjoint
+from cransim.linalg import adjoint, gram
 from cransim.scenario import SystemConfig, generate_realization
 from cransim.validation import joint_mi, random_channels
 
@@ -46,7 +46,7 @@ class TestSumCapacity:
         G = np.ones((2, 3, 4), dtype=complex)
         phi = np.full((2, 3), np.inf)
         assert sum_capacity(G, phi, 10.0) == 0.0
-        sq, uc = lmmse_sqinr(G, phi, 10.0)
+        sq, uc = lmmse_sqinr(gram(G, 10.0, phi))
         assert sq.shape == (4,) and np.all(sq == 0) and np.all(uc == 0)
 
 
@@ -74,9 +74,9 @@ class TestSumCapacity:
         padded = sum_capacity(np.concatenate([G, junk]),
                               np.concatenate([phi, np.full(3, np.inf)]), rho)
         assert padded == pytest.approx(sum_capacity(G, phi, rho), rel=1e-12)
-        sq, _ = lmmse_sqinr(np.concatenate([G, junk]),
-                            np.concatenate([phi, np.full(3, np.inf)]), rho)
-        assert np.allclose(sq, lmmse_sqinr(G, phi, rho)[0], rtol=1e-12)
+        sq, _ = lmmse_sqinr(gram(np.concatenate([G, junk]), rho,
+                                 np.concatenate([phi, np.full(3, np.inf)])))
+        assert np.allclose(sq, lmmse_sqinr(gram(G, rho, phi))[0], rtol=1e-12)
 
     def test_stack_equals_slices(self, rng):
         # G over 2 designs, Phi over 3 rates x 2 designs, rho per design; one slice
@@ -89,12 +89,12 @@ class TestSumCapacity:
         phi[1, 0, 2, 1] = np.inf
         phi[2, 1] = np.inf
         caps = sum_capacity(G, phi, rho)
-        sqinr, user = lmmse_sqinr(G, phi, rho)
+        sqinr, user = lmmse_sqinr(gram(G, rho, phi))
         assert caps.shape == (3, 2) and sqinr.shape == user.shape == (3, 2, 5)
         for i in range(3):
             for d in range(2):
                 assert caps[i, d] == sum_capacity(G[d], phi[i, d], rho[d])
-                one_sq, one_user = lmmse_sqinr(G[d], phi[i, d], rho[d])
+                one_sq, one_user = lmmse_sqinr(gram(G[d], rho[d], phi[i, d]))
                 assert np.array_equal(sqinr[i, d], one_sq)
                 assert np.array_equal(user[i, d], one_user)
         assert caps[2, 1] == 0.0 and np.all(user[2, 1] == 0)
@@ -108,7 +108,7 @@ class TestLmmse:
         G = (q.conj().T @ h)[None]          # one receiver, 1 x 1
         phi = np.zeros((1, 1))
         rho = 3.0
-        sqinr, cap = lmmse_sqinr(G, phi, rho)
+        sqinr, cap = lmmse_sqinr(gram(G, rho, phi))
         assert sqinr[0] == pytest.approx(rho * np.linalg.norm(h) ** 2, rel=1e-10)
         assert cap[0] == pytest.approx(np.log2(1 + sqinr[0]), rel=1e-12)
 
@@ -117,21 +117,21 @@ class TestLmmse:
         G = np.diag([2.0, 1.5, 0.7, 0.3]).astype(complex)[None]
         phi = np.array([[0.5, 0.1, 2.0, 0.0]])
         rho = 8.0
-        _, cap = lmmse_sqinr(G, phi, rho)
+        _, cap = lmmse_sqinr(gram(G, rho, phi))
         assert cap.sum() == pytest.approx(sum_capacity(G, phi, rho), abs=1e-8)
 
     def test_lmmse_never_beats_sum_capacity(self, rng):
         for seed in range(10):
             cfg = SystemConfig(K=6, L=3, M=4, N=2, fronthaul_rate=7.0, rng_seed=seed)
             _, _, G, phi = _pipeline(cfg, seed)
-            _, cap = lmmse_sqinr(G, phi, cfg.rho)
+            _, cap = lmmse_sqinr(gram(G, cfg.rho, phi))
             assert cap.sum() <= sum_capacity(G, phi, cfg.rho) + 1e-9
 
     def test_explicit_weights_attain_the_sqinr(self, rng):
         cfg = SystemConfig(K=5, L=2, M=4, N=2, fronthaul_rate=6.0, rng_seed=11)
         _, _, G, phi = _pipeline(cfg, 11)
         rho = cfg.rho
-        sqinr, _ = lmmse_sqinr(G, phi, rho)
+        sqinr, _ = lmmse_sqinr(gram(G, rho, phi))
         W = lmmse_weights(G, phi, rho)
         T = sum(Wl @ Gl for Wl, Gl in zip(W, G))
         act = np.isfinite(phi)              # dropped components carry zero weight
@@ -169,7 +169,7 @@ class TestOrderingChain:
             cfg = SystemConfig(K=K, L=L, M=M, N=N, fronthaul_rate=5.0, rng_seed=seed)
             ch, sel, G, phi = _pipeline(cfg, seed)
             c_sum = sum_capacity(G, phi, cfg.rho)
-            _, cap = lmmse_sqinr(G, phi, cfg.rho)
+            _, cap = lmmse_sqinr(gram(G, cfg.rho, phi))
             reduced = sel.mi
             full = full_joint_mi(ch.H, cfg.rho)
             cut = cutset_bound(ch.H, cfg.rho, cfg.fronthaul_rate)

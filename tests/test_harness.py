@@ -1,11 +1,12 @@
 import json
 import logging
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cransim import cli, harness
+from cransim import cli, harness, linalg
 from cransim.compression import LLOYD_MAX_RATE_PENALTY, build_plan
 from cransim.dimred import mfgs_select
 from cransim.harness import (CONFIG_SCHEMA, SweepSpec, best_dimension, emit_csv,
@@ -181,6 +182,21 @@ class TestRunTrial:
         with pytest.raises(RuntimeError, match=r"trial 4 failed at .* in mode 'proposed' at "
                                                r"N=2 \(csi=perfect\)"):
             run_trial(_cfg(), trial=4)
+
+    def test_one_detection_matrix_serves_both_capacities(self, monkeypatch):
+        real, built = linalg.gram, []
+
+        def counting_gram(*args):
+            built.append(args[0].shape[-2])     # rows per receiver: M, or n after reduction
+            return real(*args)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cransim.") and getattr(module, "gram", None) is real:
+                monkeypatch.setattr(module, "gram", counting_gram)
+        record = run_trial(_cfg(), mode="proposed", trial=0)
+        assert {"sum_capacity", "lmmse_sum_capacity", "user_capacity"} <= record.metrics.keys()
+        # the full MI of the M = 4 antenna channels, then one matrix on the n = 2 reduced
+        # signals that both the sum and the LMMSE capacities read
+        assert built == [4, 2]
 
     def test_high_pilot_snr_converges_to_perfect_pipeline(self):
         cfg = _cfg(K=8, L=4, M=8, N=2, pilot_snr=1e6)
@@ -611,6 +627,43 @@ class TestRunSweep:
                                                r"step \(csi=pilot\)$") as info:
             run_sweep(spec)
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+    @pytest.mark.parametrize("K, N, rank1", [(6, 1, False), (9, 2, True)])
+    def test_failure_path_reports_once(self, monkeypatch, caplog, K, N, rank1):
+        # the values re-run alone to name the failing one log neither advice nor skips
+        real = harness.build_plan
+
+        def fails_at_six(Q, H, R, *a, **k):
+            if np.any(np.asarray(R) == 6.0):
+                raise ArithmeticError("synthetic failure")
+            return real(Q, H, R, *a, **k)
+        monkeypatch.setattr(harness, "build_plan", fails_at_six)
+        if rank1:
+            monkeypatch.setattr(harness, "generate_realization",
+                                _rank1_receiver_0(lambda key: True))
+        with caplog.at_level(logging.WARNING, logger="cransim.harness"):
+            with pytest.raises(RuntimeError, match=rf"^trial 0 failed at fronthaul_rate=6.0 in "
+                                                   rf"mode 'proposed' at N={N} \(csi=perfect\)$"):
+                run_sweep(_spec(_cfg(K=K, L=3, M=6, N=N)))
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == [
+            f"N = {N} is below ceil(K/L) = {K // 3}"]
+
+
+class TestOutputSubsets:
+    @pytest.mark.parametrize("csi", ["perfect", "pilot"])
+    @pytest.mark.parametrize("surcharge", [0.0, LLOYD_MAX_RATE_PENALTY])
+    def test_each_output_alone_gives_its_rows_of_the_full_sweep(self, csi, surcharge):
+        # asking for more outputs deepens the shared selection and shares plans and
+        # detection matrices between metrics; neither may move a bit of any row
+        spec = _spec(_cfg(K=8, L=4, M=8, N=2, pilot_snr=PILOT_SNR[csi]),
+                     values=[1.0, 4.0, 16.0], trials=6, outputs=None, n_candidates=(1, 2, 4, 8))
+        rows = run_sweep(spec, surcharge=surcharge)
+        assert {row.mode for row in rows} == {"proposed", "local_baseline", "unquantized",
+                                              "cutset", "best_n"}
+        for output in spec.outputs:
+            alone = run_sweep(replace(spec, outputs=(output,)), surcharge=surcharge)
+            assert alone == [row for row in rows
+                             if (row.mode, row.metric) in harness._OUTPUT_ROWS[output]], output
 
 
 class TestTrialChunks:
