@@ -54,14 +54,11 @@ def _resolved(args):
     with open(args.config) as f:
         spec = (sweep_spec_from_dict if sweep else system_config_from_dict)(json.load(f))
     base = spec.base if sweep else spec
-    if args.seed is not None:
-        base = replace(base, rng_seed=args.seed)
-    if args.csi == "perfect":
-        base = replace(base, pilot_snr=PERFECT_CSI)
-    spec = replace(spec, base=base) if sweep else base
-    if sweep and args.trials is not None:
-        spec = replace(spec, trials=args.trials)
-    runs = spec.configs() if sweep else [base]
+    base = replace(base, rng_seed=base.rng_seed if args.seed is None else args.seed,
+                   pilot_snr=PERFECT_CSI if args.csi == "perfect" else base.pilot_snr)
+    if sweep:   # one replace per level: each builds and validates the configs under it once
+        spec = replace(spec, base=base, trials=spec.trials if args.trials is None else args.trials)
+    runs = spec.configs if sweep else [base]
     if args.csi is not None and any(csi_mode(cfg.pilot_snr) != args.csi for cfg in runs):
         raise ValueError(f"csi mode '{args.csi}' requires "
                          + ("a numeric pilot_snr in the config" if args.csi == "pilot"
@@ -70,7 +67,7 @@ def _resolved(args):
         out = Path(args.output)
         if out.is_dir() or not out.parent.is_dir():
             raise ValueError(f"--output must be a file in an existing directory, got {str(out)!r}")
-    return spec, LLOYD_MAX_RATE_PENALTY if args.lloyd_max else 0.0
+    return spec if sweep else base, LLOYD_MAX_RATE_PENALTY if args.lloyd_max else 0.0
 
 
 def _cmd_sweep(args, spec, surcharge):

@@ -112,14 +112,16 @@ def quant_noise(lam, rates, rho, variances=None):
     decorrelated components' own; under imperfect CSI pass the true ones.
     rates may carry leading axes in front of the variances' (one allocation
     per fronthaul rate). Negative rates violate the waterfilling contract.
+    A rate too large for 2^r to fit a float gives Phi = 0, as an infinite rate does.
     """
     if variances is None:
         variances = rho * np.asarray(lam, dtype=float) + 1.0
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
-    return np.divide(variances, 2.0 ** rates - 1.0, out=np.full(rates.shape, np.inf),
-                     where=rates > 0)
+    with np.errstate(over="ignore"):   # 2^r overflows to inf from r = 1024 on
+        levels = 2.0 ** rates - 1.0
+    return np.divide(variances, levels, out=np.full(rates.shape, np.inf), where=rates > 0)
 
 
 def true_component_variances(V, Q, omega, H_true, rho):

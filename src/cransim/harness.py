@@ -9,7 +9,7 @@ across modes, sweep values and CSI settings.
 import csv
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,7 +49,9 @@ class SweepSpec:
     """One batch experiment: a base configuration plus the variable swept over it.
 
     outputs defaults to everything applicable (best-N selection only when
-    n_candidates is given).
+    n_candidates is given). configs holds the validated SystemConfig of every
+    sweep value, in order; it is built once, so a spec is fixed after
+    construction (dataclasses.replace builds a new one).
     """
 
     base: SystemConfig
@@ -58,6 +60,7 @@ class SweepSpec:
     trials: int = 500
     outputs: tuple | None = None
     n_candidates: tuple = ()
+    configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.outputs is None:
@@ -86,11 +89,8 @@ class SweepSpec:
         if any(not is_integer(n) or not 1 <= n <= maxc for n in self.n_candidates):
             raise ValueError(f"n_candidates must be integers in [1, {maxc}], "
                              f"got {self.n_candidates!r}")
-        self.configs()      # constructing the per-value configs validates their fields
-
-    def configs(self):
-        """The SystemConfig of every sweep value, in order."""
-        return [replace(self.base, **{self.sweep_variable: v}) for v in self.values]
+        # constructing the per-value configs validates their fields
+        self.configs = tuple(replace(self.base, **{self.sweep_variable: v}) for v in self.values)
 
 
 @dataclass
@@ -288,7 +288,7 @@ def mi_proportion_sweep(config, rho_values, n_values, trials):
     for name, values in (("rho_values", rho_values), ("n_values", n_values)):
         if len(values) == 0:
             raise ValueError(f"{name} must be non-empty")
-    rhos = SweepSpec(config, "rho", rho_values, trials, outputs=("mi_proportion",)).configs()
+    rhos = SweepSpec(config, "rho", rho_values, trials, outputs=("mi_proportion",)).configs
     configs = [replace(cfg, N=n) for cfg in rhos for n in n_values]
     samples, at = _collect(configs, [f"rho={c.rho}, N={c.N}" for c in configs],
                            range(trials), 0.0, {"unquantized": {"mi_proportion"}}, [])
@@ -402,19 +402,18 @@ def run_sweep(spec, surcharge=0.0):
     failure is re-raised as a RuntimeError naming the trial, sweep value, mode
     and CSI mode.
     """
-    configs = spec.configs()
     rows_wanted = [row for output in spec.outputs for row in _OUTPUT_ROWS[output]]
     cands = sorted({int(n) for n in spec.n_candidates}) if "best_n" in spec.outputs else []
     read = {}   # mode -> metrics its rows read
     for mode, metric in rows_wanted:
         if mode != "best_n":
             read.setdefault(mode, set()).add(metric)
-    samples, at = _collect(configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
+    samples, at = _collect(spec.configs, [f"{spec.sweep_variable}={v}" for v in spec.values],
                            range(spec.trials), surcharge, read, cands)
     stats = _mean_p05(samples)
 
     rows = []
-    for ci, (v, cfg) in enumerate(zip(spec.values, configs)):
+    for ci, (v, cfg) in enumerate(zip(spec.values, spec.configs)):
         for mode, metric in rows_wanted:
             source = "proposed" if mode == "best_n" else mode
             n = (max(cands, key=lambda c: stats[(source, c, metric)][0][at[ci]])

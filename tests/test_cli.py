@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,13 @@ import pytest
 
 from cransim import cli
 from cransim.cli import main
-from cransim.harness import CONFIG_SCHEMA, MODES, read_csv
+from cransim.harness import CONFIG_SCHEMA, MODES, read_csv, run_sweep, sweep_spec_from_dict
+from cransim.scenario import SystemConfig
+
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 @pytest.fixture
@@ -72,6 +79,39 @@ class TestSweepCommand:
         lm = {(r.value, r.mode, r.metric): r.mean for r in read_csv(b)}
         key = (2.0, "proposed", "sum_capacity")
         assert lm[key] < plain[key]
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """A list that gains one entry per SystemConfig built (and validated) from now on."""
+    built, post_init = [], SystemConfig.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting)
+    return built
+
+
+class TestConfigConstructions:
+    """Each config is validated once: V sweep values cost 2 V + 2 configs per command."""
+
+    @pytest.mark.parametrize("extra", [[], ["--trials", "1"]])
+    @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+    def test_sweep_builds_base_and_values_twice(self, tmp_path, constructions, name, extra):
+        # the config file's base and values, then one replace with the overrides
+        w = workloads.WORKLOADS[name]
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(w.config(workloads.DEFAULT_SEED, 1)))
+        assert main(w.argv(path, tmp_path / "w.csv", 7) + extra) == 0
+        assert len(constructions) == 2 * len(w.values) + 2
+        assert {cfg.rng_seed for cfg in constructions[-len(w.values):]} == {7}
+
+    def test_run_sweep_builds_none(self, constructions):
+        spec = sweep_spec_from_dict(workloads.WORKLOADS["rate_sweep"].config(3, 1))
+        built = len(constructions)
+        run_sweep(spec)
+        assert len(constructions) == built == len(spec.configs) + 1
 
 
 class TestTrialCommand:

@@ -193,6 +193,11 @@ class TestQuantNoise:
         with pytest.raises(ValueError):
             quant_noise(np.array([1.0]), np.array([-0.1]), rho=1.0)
 
+    def test_rate_past_float_range_is_noiseless_like_an_infinite_one(self):
+        # 2^1100 overflows a float; RuntimeWarnings are errors in this suite
+        phi = quant_noise(np.array([3.0, 1.0]), np.array([1100.0, np.inf]), rho=1.0)
+        assert np.array_equal(phi, [0.0, 0.0])
+
     def test_compression_rate_identity(self, rng):
         # sum_i log2(1 + (rho lam_i + 1)/Phi_i) recovers the fronthaul budget
         for _ in range(20):

@@ -51,7 +51,7 @@ def _chunked_run(spec, size=None, surcharge=0.0):
     size None keeps the committed chunk budget.
     """
     cfg, chunks, collected = spec.base, [], []
-    keys = len({(c.pilot_snr, c.rho) for c in spec.configs()})
+    keys = len({(c.pilot_snr, c.rho) for c in spec.configs})
     designs, collect = harness._designs, harness._collect
 
     def spy_designs(channels, *args):

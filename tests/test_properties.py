@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cransim.harness import SweepSpec, run_sweep, run_trial
 from cransim.scenario import SystemConfig
 
-RATES = [0.0, 0.5, 4.0, math.inf]
+RATES = [0.0, 0.5, 4.0, 5000.0, math.inf]
 TRIALS = 3
 SLACK = 1e-9
 
