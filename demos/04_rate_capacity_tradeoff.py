@@ -2,7 +2,7 @@
 # scheme against local compression and the cut-set bound, with the best
 # reduced dimension picked per rate point. Writes a CSV next to this script.
 #
-# Run: python demos/04_rate_capacity_tradeoff.py   (about two seconds)
+# Run: python demos/04_rate_capacity_tradeoff.py   (under half a second)
 
 from pathlib import Path
 

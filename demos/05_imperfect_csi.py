@@ -1,7 +1,7 @@
 # Imperfect CSI: pilot-based MMSE estimation, noise whitening, and the
 # capacity lower bound as the pilot SNR degrades.
 #
-# Run: python demos/05_imperfect_csi.py   (about a second)
+# Run: python demos/05_imperfect_csi.py   (under half a second)
 
 import numpy as np
 

@@ -1,9 +1,10 @@
 """Oracles and the invariant checks behind `cransim validate`.
 
 Each oracle re-derives a production value by an independent route (scratch
-greedy search, slogdet or arbitrary-filter joint MI, the eigen form of the
-stage gain); run_validation checks the pipeline against them and against
-hand-computed cases, returning a list of (name, passed, detail).
+greedy search, the slogdet joint MI of arbitrary filters through their own
+projectors, the eigen form of the stage gain); run_validation checks the
+pipeline against them and against hand-computed cases, returning a list of
+(name, passed, detail).
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from . import capacity as cap
 from .compression import build_plan, quant_noise, waterfill
 from .dimred import DEGENERATE_PROJECTION_TOL, full_joint_mi, mfgs_select, signal_space_basis
 from .harness import run_trial, trial_stream
-from .linalg import NumericalError, hermitize, logdet2_hpd
+from .linalg import NumericalError, hermitize
 from .scenario import SystemConfig, generate_realization, power_control
 
 GAIN_IDENTITY_TOL = 1e-8
@@ -41,52 +42,27 @@ def random_channels(K, L, M, rng):
                      / np.sqrt(2.0) for _ in range(L)])
 
 
-def _joint_matrix(bases, H, rho):
-    """I_K + rho * sum_l H_l' Q_l Q_l' H_l, formed directly from the bases."""
+def _joint_matrix(filters, H, rho):
+    """I_K + rho * sum_l (P_l H_l)'(P_l H_l), where P_l = F_l F_l^+ projects onto span(F_l).
+
+    This is the whitened MI matrix of the filtered signals F_l' y_l, whose
+    noise covariance is F_l' F_l, so the filter columns may be non-orthonormal,
+    dependent, zero or absent (an (M, 0) filter).
+    """
     B = np.eye(H[0].shape[1], dtype=complex)
-    for Q, Hl in zip(bases, H):
-        T = np.asarray(Q).conj().T @ Hl
+    for F, Hl in zip(filters, H):
+        F = np.asarray(F, dtype=complex)
+        T = F @ np.linalg.pinv(F) @ Hl
         B += rho * (T.conj().T @ T)
     return B
-
-
-def orthonormalize(F, tol=1e-12):
-    """Gram-Schmidt with column dropping: returns an orthonormal basis of span(F).
-
-    Columns whose residual energy falls below tol times their own energy are
-    rejected as linearly dependent.
-    """
-    F = np.asarray(F, dtype=complex)
-    cols = []
-    for j in range(F.shape[1]):
-        v = F[:, j].copy()
-        energy = float(np.real(v.conj() @ v))
-        if energy == 0.0:
-            continue
-        for q in cols:
-            v -= (q.conj() @ v) * q
-        residual = float(np.real(v.conj() @ v))
-        if residual <= tol * energy:
-            continue
-        # second pass for numerical orthogonality
-        for q in cols:
-            v -= (q.conj() @ v) * q
-        cols.append(v / np.linalg.norm(v))
-    return np.column_stack(cols) if cols else np.zeros((F.shape[0], 0), dtype=complex)
 
 
 def joint_mi(filters, H, rho):
     """Joint MI in bits of arbitrary filters, one matrix of columns per receiver.
 
-    The filters are orthonormalized first, which leaves the result unchanged
-    for linearly independent columns and drops dependent ones.
+    The slogdet of _joint_matrix: a route independent of the package's Cholesky.
     """
-    return logdet2_hpd(_joint_matrix([orthonormalize(F) for F in filters], H, rho))
-
-
-def mi_reference(bases, H, rho):
-    """Joint MI in bits via slogdet: an independent route from the package's Cholesky."""
-    sign, logdet = np.linalg.slogdet(_joint_matrix(bases, H, rho))
+    sign, logdet = np.linalg.slogdet(_joint_matrix(filters, H, rho))
     if sign.real <= 0:
         raise NumericalError("joint-MI matrix is not positive definite")
     return logdet / np.log(2.0)
@@ -126,35 +102,29 @@ def stage_gain_diagnostics(A, H, q, rho):
 def greedy_reference(H, rho, N):
     """Oracle for mfgs_select: the joint MI recomputed from scratch for every candidate.
 
-    No running inverse and no projection matrices: Gram-Schmidt residuals are
-    formed against the stored bases, and ties break to the lowest user index
-    within a relative window, as documented. Returns the users per receiver.
+    No running inverse and no bases: a candidate is scored by joint_mi of the
+    raw channels of the users picked so far plus its own, one whose squared
+    residual off their span is at most DEGENERATE_PROJECTION_TOL is excluded,
+    and ties break to the lowest user index within a relative window, as
+    documented. Returns the users per receiver.
     """
-    L = len(H)
-    M, K = H[0].shape
+    L, K = len(H), H[0].shape[1]
     S = [[] for _ in range(L)]
-    bases = [np.zeros((M, 0), dtype=complex) for _ in range(L)]
     for _ in range(N):
         for l in range(L):
+            F = H[l][:, S[l]]
+            P = F @ np.linalg.pinv(F)
             options = []
             for k in range(K):
-                if k in S[l]:
+                resid = H[l][:, k] - P @ H[l][:, k]
+                if k in S[l] or float(np.real(resid.conj() @ resid)) <= DEGENERATE_PROJECTION_TOL:
                     continue
-                h = H[l][:, k].astype(complex)
-                resid = h - bases[l] @ (bases[l].conj().T @ h)
-                if float(np.real(resid.conj() @ resid)) <= 1e-12:
-                    continue
-                q = resid / np.linalg.norm(resid)
-                trial = [np.column_stack([bases[i], q]) if i == l else bases[i]
-                         for i in range(L)]
-                options.append((k, mi_reference(trial, H, rho), q))
-            if not options:
-                continue
-            best = max(v for _, v, _ in options)
-            window = 1e-12 * max(1.0, abs(best))
-            k, _, q = next(opt for opt in options if opt[1] >= best - window)
-            S[l].append(k)
-            bases[l] = np.column_stack([bases[l], q])
+                trial = [H[i][:, S[i] + [k] if i == l else S[i]] for i in range(L)]
+                options.append((k, joint_mi(trial, H, rho)))
+            if options:
+                best = max(v for _, v in options)
+                window = 1e-12 * max(1.0, abs(best))
+                S[l].append(next(k for k, v in options if v >= best - window))
     return S
 
 
@@ -187,7 +157,7 @@ def run_validation(seed=0):
     F = [Hl[:, :3] @ (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
          for Hl in H]
     mi_raw = joint_mi(F, H, 10.0)
-    mi_orth = joint_mi([orthonormalize(Fl) for Fl in F], H, 10.0)
+    mi_orth = joint_mi([np.linalg.qr(Fl)[0] for Fl in F], H, 10.0)
     check("joint MI invariant under invertible filter mixing",
           abs(mi_raw - mi_orth) < 1e-8, f"diff {abs(mi_raw - mi_orth):.2e}")
     sel = mfgs_select(H, 10.0, 4)

@@ -16,8 +16,7 @@ from cransim.compression import quant_noise, waterfill
 from cransim.dimred import full_joint_mi, mfgs_select, signal_space_basis
 from cransim.harness import SweepSpec, _collect, run_sweep, run_trial
 from cransim.scenario import SystemConfig
-from cransim.validation import (greedy_reference, joint_mi, orthonormalize, random_channels,
-                                stage_gain_diagnostics)
+from cransim.validation import greedy_reference, joint_mi, random_channels, stage_gain_diagnostics
 
 RHO_15DB = 10.0 ** 1.5
 
@@ -106,12 +105,12 @@ def test_criterion_03_data_processing_identity():
         F = [Hl[:, :n] @ (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
              for Hl in H]
         raw = joint_mi(F, H, rho)
-        orth = joint_mi([orthonormalize(Fl) for Fl in F], H, rho)
+        orth = joint_mi([np.linalg.qr(Fl)[0] for Fl in F], H, rho)
         worst_mix = max(worst_mix, abs(raw - orth))
         lossless = abs(joint_mi(signal_space_basis(H), H, rho) - full_joint_mi(H, rho))
         worst_lossless = max(worst_lossless, lossless)
-    _report(3, "joint MI from raw filters equals orthonormalized filters; "
-               "full dimension recovers the unconstrained MI",
+    _report(3, "joint MI of raw filters through their own projectors equals that of "
+               "their QR bases; full dimension recovers the unconstrained MI",
             worst_mix < 1e-8 and worst_lossless < 1e-8,
             f"mixing dev {worst_mix:.2e}, lossless dev {worst_lossless:.2e}")
 

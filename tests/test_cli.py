@@ -164,6 +164,14 @@ class TestValidateCommand:
         assert "PASS" in out and "FAIL" not in out
         assert "checks passed" in out
 
+    def test_validate_fails_loudly(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_validation", lambda seed: [
+            ("a passing check", True, ""), ("a failing check", False, "dev 1.00e+00")])
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL  a failing check (dev 1.00e+00)" in out
+        assert out[-1] == "1/2 checks passed"
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("extra, message", [

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from cransim.dimred import (full_joint_mi, mfgs_select, rank1_update, signal_space_basis,
                             truncate_selection)
 from cransim.harness import trial_stream
-from cransim.linalg import adjoint, gram
+from cransim.linalg import adjoint, gram, logdet2_hpd
 from cransim.scenario import SystemConfig, generate_realization
-from cransim.validation import (greedy_reference, joint_mi, mi_reference, orthonormalize,
-                                random_channels, stage_gain_diagnostics)
+from cransim.validation import greedy_reference, joint_mi, random_channels, stage_gain_diagnostics
 
 
 class TestJointMi:
@@ -33,33 +32,33 @@ class TestJointMi:
         for _ in range(5):
             F = [Hl[:, :3] @ (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
                  for Hl in H]
-            Q = [orthonormalize(Fl) for Fl in F]
+            Q = [np.linalg.qr(Fl)[0] for Fl in F]
             assert joint_mi(F, H, 9.0) == pytest.approx(joint_mi(Q, H, 9.0), abs=1e-8)
 
-    def test_matches_slogdet_reference(self, rng):
+    def test_matches_production_cholesky(self, rng):
+        # slogdet through the projector against the production Cholesky log-det,
+        # on a 2-of-4-column basis, below the lossless dimension
         H = random_channels(4, 3, 4, rng)
-        Q = [orthonormalize(Hl[:, :2]) for Hl in H]
-        assert joint_mi(Q, H, 15.0) == pytest.approx(mi_reference(Q, H, 15.0), abs=1e-9)
+        Q = np.linalg.qr(H[..., :2])[0]
+        want = logdet2_hpd(gram(adjoint(Q) @ H, 15.0))
+        assert joint_mi(Q, H, 15.0) == pytest.approx(want, abs=1e-9)
 
     def test_dependent_filter_columns_are_rejected(self, rng):
         H = random_channels(4, 1, 4, rng)
         f = H[0][:, :1]
-        F = np.hstack([f, 2.0 * f])      # second column adds nothing
-        assert joint_mi([F], H, 5.0) == pytest.approx(joint_mi([f], H, 5.0), abs=1e-10)
+        # the extra columns add nothing: a multiple, then a zero and a multiple
+        for F in (np.hstack([f, 2.0 * f]), np.hstack([f, np.zeros((4, 1)), -3.0 * f])):
+            assert joint_mi([F], H, 5.0) == pytest.approx(joint_mi([f], H, 5.0), abs=1e-10)
 
-
-class TestOrthonormalize:
-    def test_drops_dependent_and_zero_columns(self, rng):
-        a = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        F = np.hstack([a, np.zeros((4, 1)), -3.0 * a])
-        Q = orthonormalize(F)
-        assert Q.shape == (4, 1)
-        assert np.allclose(Q.conj().T @ Q, np.eye(1), atol=1e-12)
-
-    def test_orthonormal_output(self, rng):
-        F = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        Q = orthonormalize(F)
-        assert np.max(np.abs(Q.conj().T @ Q - np.eye(4))) < 1e-12
+    def test_empty_filters_carry_no_information(self, rng):
+        # an (M, 0) filter projects onto nothing: all empty scores 0 bits, and one
+        # empty receiver scores as if it were left out
+        H = random_channels(4, 2, 3, rng)
+        empty = np.zeros((3, 0), dtype=complex)
+        assert joint_mi([empty, empty], H, 8.0) == pytest.approx(0.0, abs=1e-12)
+        f = H[1][:, :2]
+        assert joint_mi([empty, f], H, 8.0) == pytest.approx(
+            joint_mi([f], H[1:], 8.0), abs=1e-10)
 
 
 class TestRank1Update:
@@ -166,7 +165,7 @@ class TestGreedySelection:
         for n in range(1, N + 1):
             prefix = [Ql[:, :n] for Ql in sel.Q]
             assert sel.mi_trajectory[n * L - 1] == pytest.approx(
-                mi_reference(prefix, H, rho), abs=1e-8)
+                joint_mi(prefix, H, rho), abs=1e-8)
 
     def test_prefix_property(self, rng):
         K, L, M, rho = 7, 3, 6, 25.0
@@ -210,6 +209,20 @@ class TestGreedySelection:
         assert sel.S[0][0] == 0
         assert 2 not in sel.S[0]
         assert sel.S[0] == [0, 1]
+
+    def test_reference_excludes_degenerate_candidates_like_production(self):
+        # duplicate and collinear channels: the scratch reference drops a candidate
+        # that lies in the span already picked, as mfgs_select does
+        h_dup = np.array([3.0 + 0j, 2.0 + 1.0j])
+        h_other = np.array([0.5 + 0j, -0.3 + 0.2j])
+        col = np.array([1.0 + 0.5j, -2.0 + 0j])
+        for H, N in (([np.column_stack([h_dup, h_other, h_dup])], 2),
+                     ([np.column_stack([col, 2.0 * col])], 2)):
+            want = greedy_reference(H, 5.0, N)
+            assert mfgs_select(H, 5.0, N).S == want
+            assert all(len(set(S)) == len(S) for S in want)
+        # collinear channels span one line, so they tie and the lower index wins
+        assert greedy_reference([np.column_stack([col, 2.0 * col])], 5.0, 2) == [[0]]
 
     def test_rank_deficient_receiver_is_skipped_with_warning(self, caplog):
         # rank-1 channel matrix: the second round has no independent candidate
