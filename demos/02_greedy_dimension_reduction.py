@@ -8,6 +8,7 @@ import numpy as np
 
 from cransim import SystemConfig, full_joint_mi, generate_realization, mfgs_select
 from cransim.harness import trial_stream
+from cransim.linalg import adjoint, gram
 from cransim.validation import stage_gain_diagnostics
 
 cfg = SystemConfig(K=8, L=4, M=8, N=8, rho=10.0 ** 1.5, rng_seed=7)
@@ -35,7 +36,8 @@ print(f"\nusers covered after two rounds: {first_round}")
 # eigen-diagnostics of a late stage: the equivalent channel is already strong
 # in every direction, so the remaining gain is small
 before = mfgs_select(channels.H, cfg.rho, 7)
+A = np.linalg.inv(gram(adjoint(before.Q) @ channels.H, cfg.rho))
 q_last = sel.Q[0][:, 7]
-diag, gain = stage_gain_diagnostics(before.A_final, channels.H[0], q_last, cfg.rho)
+diag, gain = stage_gain_diagnostics(A, channels.H[0], q_last, cfg.rho)
 print(f"stage 8 at receiver 0: gain {gain:.4g} bits, candidate power {diag.gamma:.4g}")
 print(f"equivalent-channel eigenvalues before the update: {np.round(diag.upsilon, 1)}")

@@ -1,6 +1,7 @@
 # The headline experiment: rate-capacity curves of the dimension-reduction
 # scheme against local compression and the cut-set bound, with the best
-# reduced dimension picked per rate point. Writes a CSV next to this script.
+# reduced dimension picked per rate point. Writes rate_capacity.csv into the
+# directory it is run from.
 #
 # Run: python demos/04_rate_capacity_tradeoff.py   (under half a second)
 
@@ -19,7 +20,7 @@ spec = SweepSpec(
 )
 
 rows = run_sweep(spec)
-out = Path(__file__).with_name("rate_capacity.csv")
+out = Path("rate_capacity.csv")
 emit_csv(rows, out)
 print(f"wrote {len(rows)} rows to {out}\n")
 

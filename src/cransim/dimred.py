@@ -4,14 +4,14 @@ Each receiver keeps N orthonormal filter directions built by Gram-Schmidt from
 the channel vectors of greedily selected users. Selection is round-robin over
 receivers; every stage picks the user whose projected channel maximises the
 joint mutual-information gain, evaluated cheaply through a running K x K
-inverse that is refreshed with a rank-1 update after each pick.
+inverse that a Sherman-Morrison update refreshes after each pick.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, gram, hermitize, logdet2_hpd
+from .linalg import adjoint, gram, logdet2_hpd
 
 # squared projected norm below this is treated as a linearly dependent candidate
 DEGENERATE_PROJECTION_TOL = 1e-12
@@ -33,15 +33,13 @@ class DimensionReductionResult:
     picks and columns always form a prefix and Q[..., :n] is the basis of
     the n-round run. mi_trajectory holds the joint mutual information in
     bits after every single selection step (N*L entries; a skipped receiver
-    repeats the previous value). A_final is the inverse
-    (I + rho * sum H' Q Q' H)^{-1} after the last step. A batched run puts
-    its batch axes in front of every field.
+    repeats the previous value). A batched run puts its batch axes in front
+    of every field.
     """
 
     users: np.ndarray
     Q: np.ndarray
     mi_trajectory: np.ndarray
-    A_final: np.ndarray
 
     @property
     def S(self):
@@ -73,21 +71,6 @@ def signal_space_basis(H):
     return np.linalg.qr(H)[0]
 
 
-def rank1_update(A, H, q, rho):
-    """Refresh A = (I + rho * sum of filtered outer products)^{-1} in place after adding filter q.
-
-    Sherman-Morrison on the added term rho * uu', u = H'q, for Hermitian A:
-    A -= (w / d) w' with w = Au and d = 1/rho + u'w; the outer product is its
-    one K x K array. Works on stacks: A (..., K, K) writable and complex,
-    H (..., M, K), q (..., M), and rho a scalar or an array over the batch.
-    """
-    u = adjoint(H) @ np.asarray(q, dtype=complex)[..., None]
-    w = A @ u
-    d = 1.0 / np.asarray(rho)[..., None, None] + (adjoint(u) @ w).real
-    A -= (w / d) @ adjoint(w)
-    return A
-
-
 def mfgs_select(H, rho, N):
     """Round-robin greedy selection of N matched-filter directions per receiver.
 
@@ -95,9 +78,9 @@ def mfgs_select(H, rho, N):
     selected users, the one maximising
         (h' P H A H' P h) / (h' P h)
     where P projects out its already chosen directions. The winning projected
-    channel is normalized into the next Gram-Schmidt basis vector, the running
-    inverse A gets an in-place rank-1 update, and the gain is recorded (A is
-    hermitized once, into A_final). Ties within a relative window go to the
+    channel is normalized into the next Gram-Schmidt basis vector q, the gain
+    is recorded, and the running inverse A = (I + rho * sum H'qq'H)^{-1} gets
+    an in-place Sherman-Morrison update. Ties within a relative window go to the
     lowest user index. Candidates whose projection is numerically degenerate
     are excluded; if none remain the receiver is skipped for the round, which
     is recorded as data only: pick -1 and a zero column in Q.
@@ -136,7 +119,8 @@ def mfgs_select(H, rho, N):
             Hl, Wl = H[:, l], W[:, l]
             Wc = Wl.conj()
             pnorm2 = (Wc * Wl).real.sum(axis=-2)
-            num = (Wc * (Hl @ A @ adjoint(Hl) @ Wl)).real.sum(axis=-2)
+            X = Hl @ A
+            num = (Wc * (X @ adjoint(Hl) @ Wl)).real.sum(axis=-2)
             eligible = pnorm2 > DEGENERATE_PROJECTION_TOL
             eligible &= avail[:, l]
             metric.fill(-np.inf)
@@ -158,7 +142,10 @@ def mfgs_select(H, rho, N):
             q = Wl.swapaxes(1, 2)[at, chosen] / norm[:, None]      # C-ordered (B, M)
 
             gains[:, rnd * L + l] = gain
-            rank1_update(A, Hl, q, rho)
+            # A Hermitian makes w = q'X the row (A H'q)', and q'H A H'q is the
+            # gain, so A -= w'w / (1/rho + gain)
+            w = q.conj()[:, None, :] @ X
+            A -= adjoint(w) @ (w / (1.0 / rho + gain)[:, None, None])
             Wl -= q[:, :, None] * (q.conj()[:, None, :] @ Wl)
             avail[at, l, chosen] = False
             picks[at, l, rnd] = chosen
@@ -168,8 +155,7 @@ def mfgs_select(H, rho, N):
         users=picks.reshape(batch + (L, N)),
         Q=Q.reshape(batch + Q.shape[1:]),
         mi_trajectory=np.cumsum(np.log2(1.0 + rho[:, None] * gains),
-                                axis=-1).reshape(batch + gains.shape[1:]),
-        A_final=hermitize(A).reshape(batch + A.shape[1:]))
+                                axis=-1).reshape(batch + gains.shape[1:]))
 
 
 def _user_lists(picks, depth):
@@ -179,17 +165,14 @@ def _user_lists(picks, depth):
     return [[k for k in row if k >= 0] for row in picks]
 
 
-def truncate_selection(result, H, rho, n):
+def truncate_selection(result, n):
     """First-n-rounds view of an unbatched selection run (valid by the prefix property).
 
-    Slices the picks, Q and the MI trajectory to n rounds and recomputes the
-    final inverse directly for the truncated basis.
+    Slices the picks, Q and the MI trajectory to n rounds.
     """
     full_rounds = min(map(len, result.S))
     if not 1 <= n <= full_rounds:
         raise ValueError(f"n must satisfy 1 <= n <= {full_rounds}")
     Q = result.Q[..., :n]
-    A = np.linalg.inv(hermitize(gram(adjoint(Q) @ H, rho)))
     return DimensionReductionResult(users=result.users[:, :n].copy(), Q=Q,
-                                    mi_trajectory=result.mi_trajectory[:n * len(Q)].copy(),
-                                    A_final=hermitize(A))
+                                    mi_trajectory=result.mi_trajectory[:n * len(Q)].copy())

@@ -170,14 +170,17 @@ def run_validation(seed=0):
     check("greedy selection matches scratch per-stage search",
           sel.S == greedy_reference(H, 8.0, 2), f"{sel.S}")
 
-    # rank-1 update against direct inversion
+    # running inverse: the MI trajectory after every step against joint_mi of the picks so far
     H = random_channels(6, 3, 4, rng)
     sel = mfgs_select(H, 12.0, 3)
-    direct = np.linalg.inv(_joint_matrix(sel.Q, H, 12.0))
-    err = np.linalg.norm(sel.A_final - direct) / np.linalg.norm(direct)
-    check("rank-1 running inverse matches direct inversion", err < 1e-8, f"rel err {err:.2e}")
+    err = np.max([abs(sel.mi_trajectory[3 * r + l]
+                      - joint_mi([Q[:, :r + (j <= l)] for j, Q in enumerate(sel.Q)], H, 12.0))
+                  for r in range(3) for l in range(3)])
+    check("running inverse gives the joint MI after every step", err < 1e-8,
+          f"max err {err:.2e} bits")
 
     # stage-gain eigen identity (raises internally on violation) + eigenvalue growth
+    direct = np.linalg.inv(_joint_matrix(sel.Q, H, 12.0))
     q = sel.Q[0][:, 0]
     diag, gain = stage_gain_diagnostics(direct, H[0], q, 12.0)
     check("stage-gain eigen identity holds", gain >= 0,

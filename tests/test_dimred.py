@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cransim.dimred import (full_joint_mi, mfgs_select, rank1_update, signal_space_basis,
-                            truncate_selection)
+from cransim.dimred import full_joint_mi, mfgs_select, signal_space_basis, truncate_selection
 from cransim.harness import trial_stream
 from cransim.linalg import adjoint, gram, logdet2_hpd
 from cransim.scenario import SystemConfig, generate_realization
@@ -61,52 +60,62 @@ class TestJointMi:
             joint_mi([f], H[1:], 8.0), abs=1e-10)
 
 
-class TestRank1Update:
+def _step_mi_errors(sel, H, rho):
+    """|mi_trajectory - joint_mi of the filters picked so far| after each of the N*L steps."""
+    L, N = sel.Q.shape[0], sel.Q.shape[-1]
+    return np.array([abs(sel.mi_trajectory[r * L + l]
+                         - joint_mi([Q[:, :r + (j <= l)] for j, Q in enumerate(sel.Q)], H, rho))
+                     for r in range(N) for l in range(L)])
+
+
+class TestRunningInverse:
     def test_two_by_two_hand_case(self):
-        # A = I, H = [[1,0],[1,1]], q = e1, rho = 2: Sherman-Morrison gives diag(1/3, 1)
-        H = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
-        q = np.array([1.0, 0.0], dtype=complex)
-        A1 = rank1_update(np.eye(2, dtype=complex), H, q, rho=2.0)
-        assert np.allclose(A1, np.diag([1.0 / 3.0, 1.0]), atol=1e-14)
+        # H = [[1,0],[1,1]], rho = 2: user 0 scores 5/2 against user 1's 2; the
+        # Sherman-Morrison inverse I - [[4,2],[2,1]]/6 then gives user 1's residual
+        # direction the gain 5/12, and det(I + 2 H'H) = det([[3,2],[2,5]]) = 11
+        H = [np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)]
+        sel = mfgs_select(H, 2.0, 2)
+        assert sel.users.tolist() == [[0, 1]]
+        assert np.allclose(sel.mi_trajectory, np.log2([6.0, 11.0]), rtol=1e-14, atol=0)
+        gains = (np.exp2(np.diff(sel.mi_trajectory, prepend=0.0)) - 1.0) / 2.0
+        assert np.allclose(gains, [5.0 / 2.0, 5.0 / 12.0], rtol=1e-13, atol=0)
 
-    def test_orthogonal_filter_is_null_update(self):
-        H = np.array([[1.0], [0.0]], dtype=complex)    # column space = e1
-        q = np.array([0.0, 1.0], dtype=complex)        # H'q = 0
-        A = np.array([[0.7 + 0j]])
-        assert np.array_equal(rank1_update(A, H, q, rho=3.0), A)
+    def test_one_user_accumulates_across_receivers(self):
+        # K = M = 1: after receivers 0..l-1 the inverse is 1/(1 + rho sum |h_j|^2),
+        # so receiver l gains |h_l|^2 over it and the MI is log2(1 + rho sum |h_j|^2)
+        h = np.array([1.0 + 1.0j, 0.5 + 0.0j, -2.0 + 0.5j])
+        rho = 3.0
+        sel = mfgs_select(h[:, None, None], rho, 1)
+        energy = np.cumsum(np.abs(h) ** 2)
+        assert np.allclose(sel.mi_trajectory, np.log2(1.0 + rho * energy), rtol=1e-14, atol=0)
+        gains = (np.exp2(np.diff(sel.mi_trajectory, prepend=0.0)) - 1.0) / rho
+        before = np.concatenate([[0.0], energy[:-1]])
+        assert np.allclose(gains, np.abs(h) ** 2 / (1.0 + rho * before), rtol=1e-13, atol=0)
 
-    def test_updates_in_place(self, rng):
-        H = random_channels(4, 2, 3, rng)
-        A = np.stack([np.eye(4, dtype=complex)] * 2)
-        q = H[:, :, 0] / np.linalg.norm(H[:, :, 0], axis=-1, keepdims=True)
-        expected = [rank1_update(np.eye(4, dtype=complex), H[b], q[b], 5.0) for b in range(2)]
-        assert rank1_update(A, H, q, np.array([5.0, 5.0])) is A
-        assert np.allclose(A, expected, rtol=0, atol=1e-14)
-        assert not np.allclose(A[0], np.eye(4))
-        before = A.copy()       # a skipped receiver's q = 0 leaves A as it is
-        rank1_update(A, H, np.zeros_like(q), 5.0)
-        assert np.array_equal(A, before)
+    def test_skipped_receiver_leaves_the_inverse_unchanged(self, rng):
+        # an all-zero receiver is skipped every round (q = 0, gain 0): the other
+        # receivers pick and score exactly as in the run without it
+        K, M, N, rho = 6, 4, 3, 20.0
+        H = random_channels(K, 2, M, rng)
+        ref = mfgs_select(H, rho, N)
+        sel = mfgs_select(np.stack([H[0], np.zeros((M, K)), H[1]]), rho, N)
+        assert sel.S == [ref.S[0], [], ref.S[1]]
+        steps, ref_steps = sel.mi_trajectory.reshape(N, 3), ref.mi_trajectory.reshape(N, 2)
+        assert np.allclose(steps[:, [0, 2]], ref_steps, rtol=1e-12, atol=0)
+        assert np.array_equal(steps[:, 1], steps[:, 0])
+        assert not sel.Q[1].any()
 
-    def test_accumulated_updates_match_direct_inverse(self, rng):
+    def test_trajectory_matches_joint_mi_after_every_step(self, rng):
         K, L, M, N, rho = 8, 4, 8, 4, 10 ** 1.5
         H = random_channels(K, L, M, rng)
-        sel = mfgs_select(H, rho, N)
-        B = np.eye(K, dtype=complex)
-        for Ql, Hl in zip(sel.Q, H):
-            T = Ql.conj().T @ Hl
-            B += rho * (T.conj().T @ T)
-        direct = np.linalg.inv(B)
-        rel = np.linalg.norm(sel.A_final - direct) / np.linalg.norm(direct)
-        assert rel < 1e-8
+        assert _step_mi_errors(mfgs_select(H, rho, N), H, rho).max() < 1e-10
 
-    def test_final_inverse_at_the_largest_stage_size(self):
-        # 128 unhermitized in-place updates, then one hermitize: exactly Hermitian
+    def test_trajectory_at_the_largest_stage_size(self):
+        # 128 in-place updates of a 64 x 64 inverse, checked after every one
         cfg = SystemConfig(K=64, L=32, M=16, N=4, rng_seed=3)
         H, rho = generate_realization(cfg, trial_stream(3, 0)).H, 10 ** 1.5
-        sel = mfgs_select(H, rho, cfg.N)
-        assert np.array_equal(sel.A_final, sel.A_final.conj().T)
-        direct = np.linalg.inv(gram(adjoint(sel.Q) @ H, rho))
-        assert np.linalg.norm(sel.A_final - direct) < 1e-10 * np.linalg.norm(direct)
+        errors = _step_mi_errors(mfgs_select(H, rho, cfg.N), H, rho)
+        assert errors.shape == (128,) and errors.max() < 1e-10
 
 
 class TestGreedySelection:
@@ -180,11 +189,10 @@ class TestGreedySelection:
         K, L, M, rho = 6, 2, 5, 18.0
         H = random_channels(K, L, M, rng)
         big = mfgs_select(H, rho, 4)
-        cut = truncate_selection(big, H, rho, 2)
+        cut = truncate_selection(big, 2)
         small = mfgs_select(H, rho, 2)
         assert cut.S == small.S
         assert np.allclose(cut.mi_trajectory, small.mi_trajectory, atol=1e-10)
-        assert np.allclose(cut.A_final, small.A_final, atol=1e-8)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3), st.integers(0, 2 ** 31 - 1))
@@ -253,7 +261,6 @@ class TestGreedySelection:
             assert np.allclose(batched.Q[b], single.Q, rtol=0, atol=1e-12)
             assert np.allclose(batched.mi_trajectory[b], single.mi_trajectory,
                                rtol=1e-12, atol=0)
-            assert np.allclose(batched.A_final[b], single.A_final, rtol=0, atol=1e-12)
         assert [len(s) for s in batched.S[2]] == [N, 1, N]
         assert [len(s) for s in batched.S[1]] == [2, N, N]
         zero = np.zeros((4, L, N), dtype=bool)      # the skipped (element, receiver, round)s
