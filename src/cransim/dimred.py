@@ -3,8 +3,9 @@
 Each receiver keeps N orthonormal filter directions built by Gram-Schmidt from
 the channel vectors of greedily selected users. Selection is round-robin over
 receivers; every stage picks the user whose projected channel maximises the
-joint mutual-information gain, evaluated cheaply through a running K x K
-inverse that a Sherman-Morrison update refreshes after each pick.
+joint mutual-information gain, read off the receiver's M x M block H_l A H_l'
+of the inverse A; each block catches up on the picks since its last turn with
+one matrix product, and A itself is never formed.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ DEGENERATE_PROJECTION_TOL = 1e-12
 # relative tie window in the argmax; lowest user index wins inside it
 ARGMAX_TIE_REL_TOL = 1e-12
 
-MAX_RHO = 1e12  # largest linear SNR (120 dB); above it greedy gains can round negative
+MAX_RHO = 1e12  # largest linear SNR (120 dB); above it the greedy's round-off can give NaN
 
 
 @dataclass
@@ -78,18 +79,21 @@ def mfgs_select(H, rho, N):
     selected users, the one maximising
         (h' P H A H' P h) / (h' P h)
     where P projects out its already chosen directions. The winning projected
-    channel is normalized into the next Gram-Schmidt basis vector q, the gain
-    is recorded, and the running inverse A = (I + rho * sum H'qq'H)^{-1} gets
-    an in-place Sherman-Morrison update. Ties within a relative window go to the
-    lowest user index. Candidates whose projection is numerically degenerate
-    are excluded; if none remain the receiver is skipped for the round, which
-    is recorded as data only: pick -1 and a zero column in Q.
+    channel is normalized into the next Gram-Schmidt basis vector q and the gain
+    is recorded. The inverse A = (I + rho * sum H'qq'H)^{-1} = I - sum u'u, over
+    the steps' rows u = q'H A / sqrt(1/rho + gain), is never formed: receiver l
+    keeps Y_l = H_l A H_l', which at its turn subtracts the rows added since its
+    last one. The scores are clamped at 0, as round-off can take a spent
+    candidate below it. Ties within a relative window go to the lowest user
+    index. Candidates whose projection is numerically degenerate are excluded;
+    if none remain the receiver is skipped for the round, which is recorded as
+    data only: pick -1 and a zero column in Q.
 
     H is the (..., L, M, K) stack of channel matrices and rho a scalar or an
     array in (0, MAX_RHO]; any leading axes of H and the shape of rho broadcast
     to a batch of independent problems run in lockstep, each with its own
-    running inverse, candidates, skips and ties. The fields of the result then
-    carry the batch axes in front. An unbatched call is the batch of one.
+    blocks, candidates, skips and ties. The fields of the result then carry the
+    batch axes in front. An unbatched call is the batch of one.
     """
     H = np.asarray(H)
     L, M, K = H.shape[-3:]
@@ -106,7 +110,10 @@ def mfgs_select(H, rho, N):
     B = len(rho)
 
     W = H.astype(complex)                    # candidates projected off the chosen directions
-    A = np.eye(K, dtype=complex)[None].repeat(B, axis=0)
+    Y = W @ adjoint(W)                       # Y_l = H_l A H_l' once it has the rows so far
+    # the steps' rows u, as columns u' and as rows, so no step conjugates them
+    Uc, Ur = np.zeros((B, K, N * L), dtype=complex), np.zeros((B, N * L, K), dtype=complex)
+    inv_rho = 1.0 / rho
     avail = np.ones((B, L, K), dtype=bool)
     picks = np.empty((B, L, N), dtype=int)
     Q = np.zeros((B, L, M, N), dtype=complex)
@@ -115,38 +122,40 @@ def mfgs_select(H, rho, N):
     at = np.arange(B)
 
     for rnd in range(N):
+        # W_l and avail[:, l] change only at receiver l's own turn, after it scored
+        Wc = W.conj()
+        pnorm2 = (Wc * W).real.sum(axis=-2)
+        eligible = (pnorm2 > DEGENERATE_PROJECTION_TOL) & avail
         for l in range(L):
-            Hl, Wl = H[:, l], W[:, l]
-            Wc = Wl.conj()
-            pnorm2 = (Wc * Wl).real.sum(axis=-2)
-            X = Hl @ A
-            num = (Wc * (X @ adjoint(Hl) @ Wl)).real.sum(axis=-2)
-            eligible = pnorm2 > DEGENERATE_PROJECTION_TOL
-            eligible &= avail[:, l]
+            s, Yl, Wl = rnd * L + l, Y[:, l], W[:, l]
+            Z = H[:, l] @ Uc[:, :, max(0, s - L):s]     # the rows since receiver l's last turn
+            Yl -= Z @ adjoint(Z)
+            num = np.maximum((Wc[:, l] * (Yl @ Wl)).real.sum(axis=-2), 0.0)
             metric.fill(-np.inf)
-            np.divide(num, pnorm2, out=metric, where=eligible)
+            np.divide(num, pnorm2[:, l], out=metric, where=eligible[:, l])
 
             best = metric.max(axis=-1)
             window = ARGMAX_TIE_REL_TOL * np.maximum(1.0, np.abs(best))
             chosen = (metric >= (best - window)[:, None]).argmax(axis=-1)
             gain = metric[at, chosen]
-            norm = np.sqrt(pnorm2[at, chosen])
+            norm = np.sqrt(pnorm2[at, l, chosen])
             skip = best == -np.inf
             if skip.any():
-                # q = 0 and a zero gain leave A, W and the MI as they are; the
-                # receiver's state never changes again, so every later round
-                # skips it too and marking user K-1 as taken is harmless
+                # q = 0 and a zero gain add a zero row u and leave W and the MI as
+                # they are; the receiver's state never changes again, so every
+                # later round skips it too and marking user K-1 as taken is harmless
                 gain[skip] = 0.0
                 norm[skip] = np.inf
                 chosen[skip] = -1
             q = Wl.swapaxes(1, 2)[at, chosen] / norm[:, None]      # C-ordered (B, M)
 
-            gains[:, rnd * L + l] = gain
-            # A Hermitian makes w = q'X the row (A H'q)', and q'H A H'q is the
-            # gain, so A -= w'w / (1/rho + gain)
-            w = q.conj()[:, None, :] @ X
-            A -= adjoint(w) @ (w / (1.0 / rho + gain)[:, None, None])
-            Wl -= q[:, :, None] * (q.conj()[:, None, :] @ Wl)
+            gains[:, s] = gain
+            # f = q'W_l = q'H_l, so u = (f - f U'U) / sqrt(1/rho + gain) over the rows so far
+            f = q.conj()[:, None, :] @ Wl
+            u = (f - (f @ Uc[:, :, :s]) @ Ur[:, :s]) / np.sqrt(inv_rho + gain)[:, None, None]
+            Ur[:, s] = u[:, 0]
+            Uc[:, :, s] = u[:, 0].conj()
+            Wl -= q[:, :, None] * f
             avail[at, l, chosen] = False
             picks[at, l, rnd] = chosen
             Q[:, l, :, rnd] = q

@@ -83,7 +83,7 @@ def stage_gain_diagnostics(A, H, q, rho):
     d, U = np.linalg.eigh(hermitize(A))       # d ascending <=> upsilon descending
     upsilon = (1.0 / d - 1.0) / rho
     if np.any(upsilon < -1e-9):
-        raise NumericalError("running inverse has eigenvalues above 1; not a valid state")
+        raise NumericalError("A has eigenvalues above 1; not a valid inverse")
     upsilon = np.maximum(upsilon, 0.0)
 
     if gamma <= DEGENERATE_PROJECTION_TOL:
@@ -102,7 +102,7 @@ def stage_gain_diagnostics(A, H, q, rho):
 def greedy_reference(H, rho, N):
     """Oracle for mfgs_select: the joint MI recomputed from scratch for every candidate.
 
-    No running inverse and no bases: a candidate is scored by joint_mi of the
+    No inverse, blocks or bases: a candidate is scored by joint_mi of the
     raw channels of the users picked so far plus its own, one whose squared
     residual off their span is at most DEGENERATE_PROJECTION_TOL is excluded,
     and ties break to the lowest user index within a relative window, as
@@ -170,13 +170,13 @@ def run_validation(seed=0):
     check("greedy selection matches scratch per-stage search",
           sel.S == greedy_reference(H, 8.0, 2), f"{sel.S}")
 
-    # running inverse: the MI trajectory after every step against joint_mi of the picks so far
+    # greedy gains: the MI trajectory after every step against joint_mi of the picks so far
     H = random_channels(6, 3, 4, rng)
     sel = mfgs_select(H, 12.0, 3)
     err = np.max([abs(sel.mi_trajectory[3 * r + l]
                       - joint_mi([Q[:, :r + (j <= l)] for j, Q in enumerate(sel.Q)], H, 12.0))
                   for r in range(3) for l in range(3)])
-    check("running inverse gives the joint MI after every step", err < 1e-8,
+    check("greedy trajectory gives the joint MI after every step", err < 1e-8,
           f"max err {err:.2e} bits")
 
     # stage-gain eigen identity (raises internally on violation) + eigenvalue growth

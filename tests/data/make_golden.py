@@ -9,9 +9,9 @@ commit whose numbers are trusted, and commit the outputs together.
 
 A rerun does not reproduce the committed files byte for byte: the floats
 drift in their last digits with the machine, the BLAS kernels and any
-rounding change in the code (on a 2-core x86 VM, after the greedy's inverse
-update last changed, 184 of 498 mean/p05 cells by up to 6.6e-15 relative and
-80 of 151 views.json floats by up to 4.9e-14). Such a
+rounding change in the code (on a 2-core x86 VM, after the greedy's gains
+last changed their arithmetic, 202 of 498 mean/p05 cells by up to 6.6e-15
+relative and 77 of 151 views.json floats by up to 5.8e-14). Such a
 diff is expected drift, not a regression; the gate is tests/test_golden.py at
 1e-12 relative.
 """

@@ -74,9 +74,9 @@ def test_criterion_01_greedy_matches_exhaustive_per_stage_search():
             f"50 instances, {elapsed:.1f}s, mismatches={mismatches}")
 
 
-def test_criterion_02_running_inverse_fidelity():
-    # the greedy reads every gain off its running inverse, so the MI trajectory
-    # after each of the N*L updates must equal joint_mi of the filters picked so far
+def test_criterion_02_greedy_trajectory_fidelity():
+    # the greedy reads every gain off its receivers' lazily updated blocks, so the MI
+    # trajectory after each of the N*L steps must equal joint_mi of the filters picked so far
     rng = np.random.default_rng(202)
     K, L, M, N, rho = 8, 4, 8, 4, RHO_15DB
     deviations = []
@@ -88,7 +88,7 @@ def test_criterion_02_running_inverse_fidelity():
                 picked = [Q[:, :r + (j <= l)] for j, Q in enumerate(sel.Q)]
                 deviations.append(abs(sel.mi_trajectory[r * L + l] - joint_mi(picked, H, rho)))
     worst = np.max(deviations)      # a NaN deviation propagates and fails
-    _report(2, "MI trajectory of the running inverse matches joint_mi after all N*L updates",
+    _report(2, "greedy MI trajectory matches joint_mi after all N*L steps",
             worst < 1e-8, f"worst deviation {worst:.2e} bits")
 
 

@@ -6,8 +6,8 @@ Text columns (including the N chosen by best_n) must match exactly and floats
 within 1e-12 relative: exact bytes drift across machines and BLAS builds, by
 up to 5e-15 relative on the demo sweep at 15 dB as measured under four other
 OpenBLAS kernel sets and with numpy's AVX-512 paths off. The drift grows with
-the SNR: the greedy MI moved 4.3e-13 at 30 dB, 9.4e-13 at 40 dB and 1.1e-8 at
-80 dB at (64,32,16,4), and at 120 dB the picks can change (README,
+the SNR: the greedy MI moved 2.6e-13 at 30 dB, 1.8e-12 at 40 dB and 1.3e-8 at
+80 dB at (64,32,16,4), and from 110 dB the picks can change (README,
 Reproducibility). So 1e-12 holds only because these sweeps stop at 30 dB;
 above about 40 dB results reproduce only to the README table's tolerance.
 Regenerate the files only at a commit whose numbers are trusted, never to
