@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimred import full_joint_mi
-from .linalg import gram, hermitize, logdet2_hpd
+from .linalg import gram, logdet2_hpd
 
 
 @dataclass
@@ -48,9 +48,9 @@ def lmmse_sqinr(B):
 
     B = I_K + rho sum G'(Phi+I)^{-1}G is the detection matrix, (..., K, K); SQINR_k =
     1 / [B^{-1}]_kk - 1 and C_k = log2(1 + SQINR_k). Returns (sqinr, user_capacity), both (..., K).
+    B needs no symmetrising: an anti-Hermitian residue E moves Re diag(B^{-1}) at O(E^2) only.
     """
-    Binv = np.linalg.inv(hermitize(B))
-    d = np.real(np.diagonal(Binv, axis1=-2, axis2=-1))
+    d = np.real(np.diagonal(np.linalg.inv(B), axis1=-2, axis2=-1))
     sqinr = np.maximum(1.0 / d - 1.0, 0.0)
     return sqinr, np.log2(1.0 + sqinr)
 

@@ -119,6 +119,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "validate":
+        if args.seed < 0:   # as a config's rng_seed: numpy's seeding would raise mid-run
+            parser.exit(2, f"{parser.prog}: error: rng_seed must be a non-negative integer\n")
         return _cmd_validate(args)
     command = _cmd_sweep if args.command == "sweep" else _cmd_trial
     try:

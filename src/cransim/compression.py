@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, adjoint, hermitize
+from .linalg import NumericalError, adjoint
 
 # extra bits per scalar for fixed-rate Lloyd-Max quantisers relative to
 # ideal Gaussian compression
@@ -52,7 +52,7 @@ def decorrelate(T):
     match; numerically negative eigenvalues within a tolerance relative to
     each matrix's own largest |eigenvalue| are clamped to 0.
     """
-    w, V = np.linalg.eigh(hermitize(T @ adjoint(T)))
+    w, V = np.linalg.eigh(T @ adjoint(T))
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
     if np.any(w < -EIG_CLAMP_TOL * scale[..., None]):
         raise NumericalError("signal covariance has a significantly negative eigenvalue")

@@ -111,8 +111,7 @@ def mfgs_select(H, rho, N):
 
     W = H.astype(complex)                    # candidates projected off the chosen directions
     Y = W @ adjoint(W)                       # Y_l = H_l A H_l' once it has the rows so far
-    # the steps' rows u, as columns u' and as rows, so no step conjugates them
-    Uc, Ur = np.zeros((B, K, N * L), dtype=complex), np.zeros((B, N * L, K), dtype=complex)
+    Uc = np.zeros((B, K, N * L), dtype=complex)    # the steps' rows u, stored as columns u'
     inv_rho = 1.0 / rho
     avail = np.ones((B, L, K), dtype=bool)
     picks = np.empty((B, L, N), dtype=int)
@@ -150,11 +149,10 @@ def mfgs_select(H, rho, N):
             q = Wl.swapaxes(1, 2)[at, chosen] / norm[:, None]      # C-ordered (B, M)
 
             gains[:, s] = gain
-            # f = q'W_l = q'H_l, so u = (f - f U'U) / sqrt(1/rho + gain) over the rows so far
+            # f = q'W_l = q'H_l, so u' = (f' - Uc (f Uc)') / sqrt(1/rho + gain) over past steps
             f = q.conj()[:, None, :] @ Wl
-            u = (f - (f @ Uc[:, :, :s]) @ Ur[:, :s]) / np.sqrt(inv_rho + gain)[:, None, None]
-            Ur[:, s] = u[:, 0]
-            Uc[:, :, s] = u[:, 0].conj()
+            u = f[:, 0].conj() - ((f @ Uc[:, :, :s]).conj() @ Uc[:, :, :s].swapaxes(1, 2))[:, 0]
+            Uc[:, :, s] = u / np.sqrt(inv_rho + gain)[:, None]
             Wl -= q[:, :, None] * f
             avail[at, l, chosen] = False
             picks[at, l, rnd] = chosen

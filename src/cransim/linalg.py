@@ -1,4 +1,4 @@
-"""Small complex linear-algebra helpers shared by the other modules."""
+"""Small complex linear-algebra helpers; Hermitian matrices reach LAPACK unsymmetrised."""
 
 import numpy as np
 
@@ -10,16 +10,6 @@ class NumericalError(ArithmeticError):
 def adjoint(a):
     """Conjugate transpose over the last two axes, so it applies to stacks of matrices."""
     return np.swapaxes(a, -1, -2).conj()
-
-
-def hermitize(a):
-    """Average nominally Hermitian matrices with their adjoints to kill round-off drift.
-
-    The result is C-ordered whatever the batch shape, so the BLAS calls it
-    feeds round the same way for a stack as for each of its matrices.
-    """
-    a = np.asarray(a)
-    return 0.5 * np.add(a, adjoint(a), order="C")
 
 
 def gram(X, rho, phi=None):
@@ -37,12 +27,12 @@ def gram(X, rho, phi=None):
 def logdet2_hpd(a):
     """log2(det(a)) of a Hermitian positive-definite matrix via Cholesky.
 
-    Never forms the determinant itself, so it stays accurate for large,
-    well-conditioned log-dets. A stack (..., n, n) gives an array of shape
-    (...); a single matrix gives a scalar.
+    Reads only the lower triangle and the real diagonal, as LAPACK's Cholesky does. Never
+    forms the determinant itself, so it stays accurate for large, well-conditioned log-dets.
+    A stack (..., n, n) gives an array of shape (...); a single matrix gives a scalar.
     """
     try:
-        chol = np.linalg.cholesky(hermitize(a))
+        chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"matrix is not positive definite: {exc}") from exc
     return 2.0 * np.log2(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)

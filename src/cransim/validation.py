@@ -15,7 +15,7 @@ from . import capacity as cap
 from .compression import build_plan, quant_noise, waterfill
 from .dimred import DEGENERATE_PROJECTION_TOL, full_joint_mi, mfgs_select, signal_space_basis
 from .harness import run_trial, trial_stream
-from .linalg import NumericalError, hermitize
+from .linalg import NumericalError
 from .scenario import SystemConfig, generate_realization, power_control
 
 GAIN_IDENTITY_TOL = 1e-8
@@ -80,7 +80,7 @@ def stage_gain_diagnostics(A, H, q, rho):
     u = H.conj().T @ np.asarray(q, dtype=complex)
     gamma = float(np.real(u.conj() @ u))
 
-    d, U = np.linalg.eigh(hermitize(A))       # d ascending <=> upsilon descending
+    d, U = np.linalg.eigh(A)    # d ascending <=> upsilon descending
     upsilon = (1.0 / d - 1.0) / rho
     if np.any(upsilon < -1e-9):
         raise NumericalError("A has eigenvalues above 1; not a valid inverse")

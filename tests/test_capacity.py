@@ -112,6 +112,28 @@ class TestLmmse:
         assert sqinr[0] == pytest.approx(rho * np.linalg.norm(h) ** 2, rel=1e-10)
         assert cap[0] == pytest.approx(np.log2(1 + sqinr[0]), rel=1e-12)
 
+    def test_anti_hermitian_residue_moves_the_sqinr_only_at_second_order(self, rng):
+        G = random_channels(6, 3, 4, rng)
+        B = gram(G, 10.0, rng.uniform(0.1, 3.0, G.shape[:-1]))
+        R = rng.standard_normal(B.shape) + 1j * rng.standard_normal(B.shape)
+        size = 1e-8 * np.linalg.norm(B)
+        sq = lmmse_sqinr(B)[0]
+        anti, herm = R - adjoint(R), R + adjoint(R)
+        moved = lmmse_sqinr(B + size * anti / np.linalg.norm(anti))[0]
+        assert np.max(np.abs(moved - sq) / sq) < 1e-14
+        # a Hermitian residue of the same size moves it at first order
+        moved = lmmse_sqinr(B + size * herm / np.linalg.norm(herm))[0]
+        assert np.max(np.abs(moved - sq) / sq) > 1e-11
+
+    def test_swapped_axis_stack_equals_each_matrix_alone(self, rng):
+        G = np.stack([random_channels(5, 2, 4, rng) for _ in range(4)])
+        B = gram(G, 10.0)
+        view = np.ascontiguousarray(B.swapaxes(0, 1)).swapaxes(0, 1)   # same values, not contiguous
+        sqinr, user = lmmse_sqinr(view)
+        for i, b in enumerate(B):
+            one_sq, one_user = lmmse_sqinr(b)
+            assert np.array_equal(sqinr[i], one_sq) and np.array_equal(user[i], one_user)
+
     def test_orthogonal_users_lmmse_is_optimal(self):
         # orthogonal equivalent channel columns: detection decouples per user
         G = np.diag([2.0, 1.5, 0.7, 0.3]).astype(complex)[None]

@@ -172,6 +172,16 @@ class TestValidateCommand:
         assert "FAIL  a failing check (dev 1.00e+00)" in out
         assert out[-1] == "1/2 checks passed"
 
+    def test_negative_seed_exits_2_without_traceback(self, monkeypatch, capsys):
+        def no_validation(seed):
+            raise AssertionError("the checks ran")
+        monkeypatch.setattr(cli, "run_validation", no_validation)
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--seed", "-1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cransim: error: ") and "rng_seed must be a non-negative" in err
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("extra, message", [

@@ -58,6 +58,14 @@ class TestDecorrelate:
         expected = np.sort(np.linalg.eigvalsh(H @ H.conj().T))[::-1]
         assert np.allclose(lam, expected, atol=1e-10 * max(1, expected[0]))
 
+    def test_swapped_axis_stack_equals_each_matrix_alone(self, rng):
+        T = np.stack([random_channels(6, 1, 3, rng)[0] for _ in range(4)])
+        view = np.ascontiguousarray(T.swapaxes(0, 1)).swapaxes(0, 1)   # same values, not contiguous
+        V, lam = decorrelate(view)
+        for i, t in enumerate(T):
+            one_V, one_lam = decorrelate(t)
+            assert np.array_equal(V[i], one_V) and np.array_equal(lam[i], one_lam)
+
 
 class TestWaterfill:
     def test_hand_case_two_components(self):

@@ -1,13 +1,31 @@
 import numpy as np
 import pytest
 
-from cransim.linalg import NumericalError, gram, logdet2_hpd
+from cransim.linalg import NumericalError, adjoint, gram, logdet2_hpd
 from cransim.validation import random_channels
 
 
 def test_logdet_of_a_matrix_that_is_not_positive_definite_raises():
     with pytest.raises(NumericalError, match="not positive definite"):
         logdet2_hpd(np.diag([1.0, -1.0]))
+
+
+def hpd_stack(rng, count=4, n=5):
+    X = rng.standard_normal((count, 2 * n, n)) + 1j * rng.standard_normal((count, 2 * n, n))
+    return np.eye(n) + adjoint(X) @ X
+
+
+class TestLogdetLayout:
+    def test_reads_only_the_lower_triangle_and_the_real_diagonal(self, rng):
+        A = hpd_stack(rng)
+        garbage = 1e3 * (rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape))
+        dirty = A + np.triu(garbage, k=1) + 1j * np.eye(A.shape[-1]) * garbage.real
+        assert np.array_equal(logdet2_hpd(dirty), logdet2_hpd(A))
+
+    def test_swapped_axis_stack_equals_each_matrix_alone(self, rng):
+        A = hpd_stack(rng)
+        view = np.ascontiguousarray(A.swapaxes(0, 1)).swapaxes(0, 1)   # same values, not contiguous
+        assert np.array_equal(logdet2_hpd(view), [logdet2_hpd(a) for a in A])
 
 
 class TestGram:
