@@ -109,8 +109,10 @@ def mfgs_select(H, rho, N):
     rho = np.full(batch, rho).reshape(-1)
     B = len(rho)
 
+    # Y_l = H_l A H_l' once it has the rows so far; from H before W exists, sparing a stack
+    Y = H @ adjoint(H.astype(complex, copy=False))
     W = H.astype(complex)                    # candidates projected off the chosen directions
-    Y = W @ adjoint(W)                       # Y_l = H_l A H_l' once it has the rows so far
+    Wf = W.view(float).reshape(W.shape + (2,))   # a view of W with re, im on a last axis
     Uc = np.zeros((B, K, N * L), dtype=complex)    # the steps' rows u, stored as columns u'
     inv_rho = 1.0 / rho
     avail = np.ones((B, L, K), dtype=bool)
@@ -122,14 +124,13 @@ def mfgs_select(H, rho, N):
 
     for rnd in range(N):
         # W_l and avail[:, l] change only at receiver l's own turn, after it scored
-        Wc = W.conj()
-        pnorm2 = (Wc * W).real.sum(axis=-2)
+        pnorm2 = np.einsum("...mkp,...mkp->...k", Wf, Wf)    # no stack-sized temporary
         eligible = (pnorm2 > DEGENERATE_PROJECTION_TOL) & avail
         for l in range(L):
             s, Yl, Wl = rnd * L + l, Y[:, l], W[:, l]
             Z = H[:, l] @ Uc[:, :, max(0, s - L):s]     # the rows since receiver l's last turn
             Yl -= Z @ adjoint(Z)
-            num = np.maximum((Wc[:, l] * (Yl @ Wl)).real.sum(axis=-2), 0.0)
+            num = np.maximum((Wl.conj() * (Yl @ Wl)).real.sum(axis=-2), 0.0)
             metric.fill(-np.inf)
             np.divide(num, pnorm2[:, l], out=metric, where=eligible[:, l])
 

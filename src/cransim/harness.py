@@ -171,6 +171,7 @@ def _designs(trials, base, keys, nmax, baseline):
     pilot, rho = map(np.array, zip(*keys))
     channels = [generate_realization(base, trial_stream(base.rng_seed, t, 0)) for t in trials]
     H_true = np.stack([c.H for c in channels])[:, None]
+    channels = [replace(c, H=h) for c, h in zip(channels, H_true[:, 0])]   # one copy of each H
     rho, extra = np.broadcast_to(rho.astype(float), (len(trials), len(keys))), {}
     H = np.broadcast_to(H_true, rho.shape + H_true.shape[-3:])
     full_mi = cutset_mi = full_joint_mi(H_true, rho)
@@ -187,6 +188,7 @@ def _designs(trials, base, keys, nmax, baseline):
 
 # Memory budget of a trial chunk, in stacked (trial, key) channel elements: (8,4,8,2)
 # sweeps run in one chunk, and two (64,32,16,4) trials share one greedy run's steps.
+# The design step peaks at 2.8x the chunk's channel bytes there, 6.2x at (8,4,8,2), N = 8.
 _CHUNK_ELEMENTS = 2 ** 16
 
 _CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}

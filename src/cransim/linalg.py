@@ -20,8 +20,10 @@ def gram(X, rho, phi=None):
     """
     W = X if phi is None else X / (np.asarray(phi, dtype=float) + 1.0)[..., None]
     W, X = (a.reshape(a.shape[:-3] + (-1, a.shape[-1])) for a in (W, X))
-    rho = np.asarray(rho, dtype=float)[..., None, None]
-    return np.eye(X.shape[-1], dtype=complex) + rho * (adjoint(X) @ W)
+    rho, K = np.asarray(rho, dtype=float)[..., None, None], X.shape[-1]
+    G = (rho * (adjoint(X) @ W)).astype(complex, copy=False)
+    G[..., range(K), range(K)] += 1.0
+    return G
 
 
 def logdet2_hpd(a):

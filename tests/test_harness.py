@@ -768,6 +768,15 @@ class TestChunkBudget:
         for name, x in samples.items():
             assert np.array_equal(single[1][name], x), name
 
+    def test_design_step_holds_each_stack_once(self, peak_bytes):
+        # a perfect-CSI design step on two (64,32,16,4) trials peaks at about 2.8x the
+        # stacked channels; a second copy of the channels and the greedy's per-round
+        # conjugate copies took it to 5.7x
+        cfg = _cfg(K=64, L=32, M=16, N=4)
+        keys = [(cfg.pilot_snr, cfg.rho)]
+        stack = 2 * cfg.L * cfg.M * cfg.K * np.dtype(complex).itemsize
+        assert peak_bytes(lambda: harness._designs(range(2), cfg, keys, 4, False)) <= 3.5 * stack
+
 
 class TestCsv:
     def test_empty_rows_give_header_only(self, tmp_path):

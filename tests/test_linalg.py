@@ -43,3 +43,14 @@ class TestGram:
             Xl.conj().T @ np.diag(w) @ Xl for Xl, w in zip(X, weights))
         B = gram(X, 7.0, phi if weighted else None)
         assert np.max(np.abs(B - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rho_broadcasts_beyond_the_leading_axes(self, rng, weighted):
+        # X (1, L, n, K) against rho (3, 1): a (3, 1, K, K) result, each row its own rho
+        X = random_channels(6, 3, 4, rng)[None]
+        phi = rng.uniform(0.0, 5.0, X.shape[:-1]) if weighted else None
+        rho = np.array([[2.0], [7.0], [40.0]])
+        B = gram(X, rho, phi)
+        assert B.shape == (3, 1, 6, 6)
+        for i, r in enumerate(rho[:, 0]):
+            assert np.array_equal(B[i], gram(X, r, phi))
