@@ -20,7 +20,7 @@ print(f"  lam=[8,1e-3], R=2 -> rates {waterfill(np.array([8.0, 1e-3]), 2.0)[0]}"
       f"  (weak component dropped)")
 
 for R in (2.0, 8.0, 32.0):
-    plan = build_plan(sel.Q, channels.H, R, cfg.rho)
+    plan = build_plan(sel.T, R, cfg.rho)
     cap = sum_capacity(plan.G, plan.Phi, cfg.rho)
     print(f"\nfronthaul budget R = {R:.0f} bits/use per receiver "
           f"-> sum capacity {cap:.2f} bits/use")
@@ -32,7 +32,7 @@ for R in (2.0, 8.0, 32.0):
 
 # the high-rate approximation rho * (prod lam)^(1/N) * 2^(-R/N), which assumes
 # all N components active, vs the exact noise at a comfortable rate
-plan = build_plan(sel.Q, channels.H, 32.0, cfg.rho)
+plan = build_plan(sel.T, 32.0, cfg.rho)
 for l in range(cfg.L):
     approx = cfg.rho * np.exp(np.mean(np.log(plan.lam[l][:cfg.N]))) * 2.0 ** (-32.0 / cfg.N)
     exact = plan.Phi[l].mean()

@@ -2,7 +2,9 @@
 
 Each receiver decorrelates its filtered signal, waterfills the fronthaul
 budget over the component log-eigenvalues, and models each scalar quantiser
-as additive Gaussian noise at the rate-distortion level. Receivers compress
+as additive Gaussian noise at the rate-distortion level. Plans are built from
+the reduced channels T = Q'H alone, as the central processor sees them (only
+the true variances under imperfect CSI read Q). Receivers compress
 independently, so every step runs on (L, ...) stacks in one numpy call. No
 bit-level codec is built; fixed-rate Lloyd-Max quantisation can be modelled
 by a per-scalar rate surcharge.
@@ -142,21 +144,20 @@ def true_component_variances(V, Q, omega, H_true, rho):
     return sig + noise
 
 
-def build_plan(Q, H, R, rho, H_true=None, omega=None, surcharge=0.0):
+def build_plan(T, R, rho, Q=None, H_true=None, omega=None, surcharge=0.0):
     """Assemble the compression plan of every receiver in one stacked pass.
 
-    Q (..., L, M, n) holds the reduced bases and H (..., L, M, K) the
-    channels the transforms and rate allocation are designed from (true
-    channels, or whitened estimates under imperfect CSI); rho is a scalar or
-    an array over their leading axes. When H_true and the equivalent-noise
-    levels omega (..., L) are given, the quantisation-noise levels are
-    evaluated against the true channels instead of the design eigenvalues.
+    T (..., L, n, K) holds the reduced channels Q'H of the design channels
+    H (true channels, or whitened estimates under imperfect CSI), as a
+    selection's T does; rho is a scalar or an array over their leading axes.
+    When the bases Q (..., L, M, n), H_true and the equivalent-noise levels
+    omega (..., L) are given, the quantisation-noise levels are evaluated
+    against the true channels instead of the design eigenvalues.
     The transforms and G depend on the design alone, so one decorrelation
     serves every fronthaul rate: R may be an array, whose axes then lead
     rates and Phi (shape R.shape + lam.shape).
     """
     rho = np.asarray(rho, dtype=float)[..., None, None]
-    T = adjoint(Q) @ H
     V, lam = decorrelate(T)
     R = np.reshape(R, np.shape(R) + (1,) * (lam.ndim - 1))
     rates, active = waterfill(lam, R, surcharge=surcharge)

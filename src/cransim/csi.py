@@ -32,7 +32,8 @@ def estimate_channels(channels, pilot_snr, rng):
     noise.real, noise.imag = rng.standard_normal((2,) + noise.shape)  # real parts drawn first
     noise /= np.sqrt(2.0)
     coeff = np.sqrt(snr) * sigma2 / (1.0 + snr * sigma2)   # (..., L, K)
-    H_hat = coeff[..., None, :] * (np.sqrt(snr)[..., None] * channels.H + noise)
+    H_hat = np.sqrt(snr)[..., None] * channels.H + noise
+    H_hat *= coeff[..., None, :]       # in place: no third copy of the estimates
     err_var = sigma2 / (1.0 + snr * sigma2)
     return H_hat, err_var
 

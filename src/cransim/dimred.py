@@ -4,8 +4,8 @@ Each receiver keeps N orthonormal filter directions built by Gram-Schmidt from
 the channel vectors of greedily selected users. Selection is round-robin over
 receivers; every stage picks the user whose projected channel maximises the
 joint mutual-information gain, read off the receiver's M x M block H_l A H_l'
-of the inverse A; each block catches up on the picks since its last turn with
-one matrix product, and A itself is never formed.
+of the inverse A. Neither A nor projected channels are stored: at its turn a
+receiver updates its block and projects its candidates from its picks so far.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,8 @@ class DimensionReductionResult:
     orthonormal bases: Q[l][:, i] is the direction picked in round i, a zero
     column for a skip. A skip repeats in every later round, so the real
     picks and columns always form a prefix and Q[..., :n] is the basis of
-    the n-round run. mi_trajectory holds the joint mutual information in
+    the n-round run; the reduced channels T = Q'H (L, N, K) follow Q, with
+    a zero row for a skip. mi_trajectory holds the joint mutual information in
     bits after every single selection step (N*L entries; a skipped receiver
     repeats the previous value). A batched run puts its batch axes in front
     of every field.
@@ -40,6 +41,7 @@ class DimensionReductionResult:
 
     users: np.ndarray
     Q: np.ndarray
+    T: np.ndarray
     mi_trajectory: np.ndarray
 
     @property
@@ -79,15 +81,16 @@ def mfgs_select(H, rho, N):
     selected users, the one maximising
         (h' P H A H' P h) / (h' P h)
     where P projects out its already chosen directions. The winning projected
-    channel is normalized into the next Gram-Schmidt basis vector q and the gain
-    is recorded. The inverse A = (I + rho * sum H'qq'H)^{-1} = I - sum u'u, over
-    the steps' rows u = q'H A / sqrt(1/rho + gain), is never formed: receiver l
-    keeps Y_l = H_l A H_l', which at its turn subtracts the rows added since its
-    last one. The scores are clamped at 0, as round-off can take a spent
-    candidate below it. Ties within a relative window go to the lowest user
-    index. Candidates whose projection is numerically degenerate are excluded;
-    if none remain the receiver is skipped for the round, which is recorded as
-    data only: pick -1 and a zero column in Q.
+    channel, normalized, is the next Gram-Schmidt basis vector q. The inverse
+    A = (I + rho * sum H'qq'H)^{-1} = I - sum u'u, over the steps' rows
+    u = q'H A / sqrt(1/rho + gain), is never formed: receiver l keeps
+    Y_l = H_l A H_l', which at its turn subtracts the rows added since its last
+    one, and forms its projected candidates W_l = H_l - Q_l T_l from the rows
+    f = q'W_l = q'H_l of its earlier steps (the result's T). The scores are
+    clamped at 0, as round-off can take a spent candidate below it. Ties within
+    a relative window go to the lowest user index. Degenerate projections are
+    excluded; if none remain the receiver is skipped for the round, which is
+    recorded as data only: pick -1, a zero column in Q and a zero row in T.
 
     H is the (..., L, M, K) stack of channel matrices and rho a scalar or an
     array in (0, MAX_RHO]; any leading axes of H and the shape of rho broadcast
@@ -105,45 +108,44 @@ def mfgs_select(H, rho, N):
     batch = np.broadcast(H[..., 0, 0, 0], rho).shape
     if H.shape[:-3] != batch:
         H = np.broadcast_to(H, batch + (L, M, K))
-    H = np.ascontiguousarray(H.reshape(-1, L, M, K))   # one layout, so one rounding, per batch
+    H = np.ascontiguousarray(H.reshape(-1, L, M, K), dtype=complex)   # one layout, one rounding
     rho = np.full(batch, rho).reshape(-1)
     B = len(rho)
 
-    # Y_l = H_l A H_l' once it has the rows so far; from H before W exists, sparing a stack
-    Y = H @ adjoint(H.astype(complex, copy=False))
-    W = H.astype(complex)                    # candidates projected off the chosen directions
-    Wf = W.view(float).reshape(W.shape + (2,))   # a view of W with re, im on a last axis
+    Y = H @ adjoint(H)                      # Y_l = H_l A H_l' once it has the rows so far
     Uc = np.zeros((B, K, N * L), dtype=complex)    # the steps' rows u, stored as columns u'
     inv_rho = 1.0 / rho
     avail = np.ones((B, L, K), dtype=bool)
     picks = np.empty((B, L, N), dtype=int)
     Q = np.zeros((B, L, M, N), dtype=complex)
+    T = np.zeros((B, L, N, K), dtype=complex)
     gains = np.empty((B, N * L))
     metric = np.empty((B, K))
     at = np.arange(B)
 
     for rnd in range(N):
-        # W_l and avail[:, l] change only at receiver l's own turn, after it scored
-        pnorm2 = np.einsum("...mkp,...mkp->...k", Wf, Wf)    # no stack-sized temporary
-        eligible = (pnorm2 > DEGENERATE_PROJECTION_TOL) & avail
         for l in range(L):
-            s, Yl, Wl = rnd * L + l, Y[:, l], W[:, l]
+            s, Yl = rnd * L + l, Y[:, l]
+            Wl = H[:, l] - Q[:, l, :, :rnd] @ T[:, l, :rnd] if rnd else H[:, l]  # projected
+            pnorm2 = np.einsum("bmk,bmk->bk", Wl.view(float), Wl.view(float))   # re, im apart
+            pnorm2 = pnorm2[:, ::2] + pnorm2[:, 1::2]
+            eligible = (pnorm2 > DEGENERATE_PROJECTION_TOL) & avail[:, l]
             Z = H[:, l] @ Uc[:, :, max(0, s - L):s]     # the rows since receiver l's last turn
             Yl -= Z @ adjoint(Z)
             num = np.maximum((Wl.conj() * (Yl @ Wl)).real.sum(axis=-2), 0.0)
             metric.fill(-np.inf)
-            np.divide(num, pnorm2[:, l], out=metric, where=eligible[:, l])
+            np.divide(num, pnorm2, out=metric, where=eligible)
 
             best = metric.max(axis=-1)
             window = ARGMAX_TIE_REL_TOL * np.maximum(1.0, np.abs(best))
             chosen = (metric >= (best - window)[:, None]).argmax(axis=-1)
             gain = metric[at, chosen]
-            norm = np.sqrt(pnorm2[at, l, chosen])
+            norm = np.sqrt(pnorm2[at, chosen])
             skip = best == -np.inf
             if skip.any():
-                # q = 0 and a zero gain add a zero row u and leave W and the MI as
-                # they are; the receiver's state never changes again, so every
-                # later round skips it too and marking user K-1 as taken is harmless
+                # q = 0 and a zero gain add zero rows f and u and leave W_l and the MI as
+                # they are; the receiver's state never changes again, so every later
+                # round skips it too and marking user K-1 as taken is harmless
                 gain[skip] = 0.0
                 norm[skip] = np.inf
                 chosen[skip] = -1
@@ -154,14 +156,15 @@ def mfgs_select(H, rho, N):
             f = q.conj()[:, None, :] @ Wl
             u = f[:, 0].conj() - ((f @ Uc[:, :, :s]).conj() @ Uc[:, :, :s].swapaxes(1, 2))[:, 0]
             Uc[:, :, s] = u / np.sqrt(inv_rho + gain)[:, None]
-            Wl -= q[:, :, None] * f
             avail[at, l, chosen] = False
             picks[at, l, rnd] = chosen
             Q[:, l, :, rnd] = q
+            T[:, l, rnd] = f[:, 0]
 
     return DimensionReductionResult(
         users=picks.reshape(batch + (L, N)),
         Q=Q.reshape(batch + Q.shape[1:]),
+        T=T.reshape(batch + T.shape[1:]),
         mi_trajectory=np.cumsum(np.log2(1.0 + rho[:, None] * gains),
                                 axis=-1).reshape(batch + gains.shape[1:]))
 
@@ -176,11 +179,11 @@ def _user_lists(picks, depth):
 def truncate_selection(result, n):
     """First-n-rounds view of an unbatched selection run (valid by the prefix property).
 
-    Slices the picks, Q and the MI trajectory to n rounds.
+    Slices the picks, Q, T and the MI trajectory to n rounds.
     """
     full_rounds = min(map(len, result.S))
     if not 1 <= n <= full_rounds:
         raise ValueError(f"n must satisfy 1 <= n <= {full_rounds}")
     Q = result.Q[..., :n]
-    return DimensionReductionResult(users=result.users[:, :n].copy(), Q=Q,
+    return DimensionReductionResult(users=result.users[:, :n].copy(), Q=Q, T=result.T[:, :n],
                                     mi_trajectory=result.mi_trajectory[:n * len(Q)].copy())

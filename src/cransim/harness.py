@@ -140,24 +140,25 @@ def csi_mode(pilot_snr):
 class _Design:
     """Rate-independent state of a trial chunk's (rho, CSI) keys, shared by every mode, rate and N.
 
-    Arrays lead with (trial, key) axes: rho and the MIs are (T, keys), and H
-    (T, keys, L, M, K) holds the design channels: the truth under perfect CSI,
-    the whitened estimates under pilot CSI, where the true channels H_true
-    (T, 1, L, M, K) and the equivalent-noise levels omega (T, keys, L) carry
-    the rest of the CSI state (None under perfect CSI). selection is one
-    greedy run at the largest dimension any caller reads: by the prefix
-    property its first n rounds are the run at n. cutset_mi is the
-    full-dimension MI of the true channels.
+    Arrays lead with (trial, key) axes: rho and the MIs are (T, keys). Of the
+    design channels H (the truth, or the whitened estimates under pilot CSI)
+    only the reductions are kept: the selection's T and the baseline's T_b =
+    Q_b'H. Under pilot CSI the true channels H_true (T, 1, L, M, K), the
+    equivalent-noise levels omega (T, keys, L) and the bases Q_b carry the
+    rest of the CSI state (None under perfect CSI). selection is one greedy
+    run at the largest dimension any caller reads: by the prefix property its
+    first n rounds are the run at n. cutset_mi is the true channels' full MI.
     """
 
     rho: np.ndarray
-    H: np.ndarray
+    L: int
     full_mi: np.ndarray
     cutset_mi: np.ndarray
     H_true: np.ndarray | None = None
     omega: np.ndarray | None = None
     selection: DimensionReductionResult | None = None
-    baseline_Q: np.ndarray | None = None
+    T_b: np.ndarray | None = None
+    Q_b: np.ndarray | None = None
 
 
 def _designs(trials, base, keys, nmax, baseline):
@@ -175,20 +176,23 @@ def _designs(trials, base, keys, nmax, baseline):
     rho, extra = np.broadcast_to(rho.astype(float), (len(trials), len(keys))), {}
     H = np.broadcast_to(H_true, rho.shape + H_true.shape[-3:])
     full_mi = cutset_mi = full_joint_mi(H_true, rho)
-    if csi_mode(pilot[0]) == "pilot":
-        H_hat, err_var = zip(*[estimate_channels(c, pilot, trial_stream(base.rng_seed, t, 1))
-                               for c, t in zip(channels, trials)])
-        H, omega = whiten(np.stack(H_hat), np.stack(err_var), rho)
+    if csi_mode(pilot[0]) == "pilot":     # each trial's estimates go once copied in
+        H, err_var = np.empty(H.shape, complex), np.empty(H.shape[:-2] + H.shape[-1:])
+        for i, (c, t) in enumerate(zip(channels, trials)):
+            H[i], err_var[i] = estimate_channels(c, pilot, trial_stream(base.rng_seed, t, 1))
+        H, omega = whiten(H, err_var, rho)
         full_mi = full_joint_mi(H, rho)
         extra = {"H_true": H_true, "omega": omega}
-    return _Design(rho=rho, H=H, full_mi=full_mi, cutset_mi=cutset_mi,
+    Q_b = signal_space_basis(H) if baseline else None
+    return _Design(rho=rho, L=base.L, full_mi=full_mi, cutset_mi=cutset_mi,
                    selection=mfgs_select(H, rho, nmax) if nmax else None,
-                   baseline_Q=signal_space_basis(H) if baseline else None, **extra)
+                   T_b=None if Q_b is None else adjoint(Q_b) @ H,
+                   Q_b=Q_b if extra else None, **extra)    # H goes with the step
 
 
 # Memory budget of a trial chunk, in stacked (trial, key) channel elements: (8,4,8,2)
 # sweeps run in one chunk, and two (64,32,16,4) trials share one greedy run's steps.
-# The design step peaks at 2.8x the chunk's channel bytes there, 6.2x at (8,4,8,2), N = 8.
+# The design step peaks at 2.3x the chunk's channel bytes there, 6.5x at (8,4,8,2), N = 8.
 _CHUNK_ELEMENTS = 2 ** 16
 
 _CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}
@@ -213,8 +217,8 @@ def _evaluate(design, mode, n, R, wanted, surcharge):
     "active" (L,). The harness builds plans and detection matrices only here:
     one of each for all rates and keys, and only when a capacity metric is wanted.
     """
-    rho, H, full, sel = design.rho, design.H, design.full_mi, design.selection
-    L, R = H.shape[-3], np.asarray(R, dtype=float)
+    rho, L, full, sel = design.rho, design.L, design.full_mi, design.selection
+    R = np.asarray(R, dtype=float)
     out = {"full_mi": full, "cutset": np.minimum.outer(R * L, design.cutset_mi)}
     if mode != "cutset":
         if mode == "local_baseline":
@@ -226,12 +230,12 @@ def _evaluate(design, mode, n, R, wanted, surcharge):
         out["mi_proportion"] = np.divide(out["reduced_mi"], full, out=np.zeros(rho.shape),
                                          where=full > 0)
     if wanted & _CAPACITY_METRICS:
-        Q = design.baseline_Q if mode == "local_baseline" else sel.Q[..., :n]
+        T, Q = ((design.T_b, design.Q_b) if mode == "local_baseline"
+                else (sel.T[..., :n, :], sel.Q[..., :n]))
         if mode == "unquantized":
-            G = adjoint(Q) @ H
-            phi = np.zeros(R.shape + G.shape[:-1])
+            G, phi = T, np.zeros(R.shape + T.shape[:-1])
         else:
-            plan = build_plan(Q, H, R, rho, H_true=design.H_true, omega=design.omega,
+            plan = build_plan(T, R, rho, Q=Q, H_true=design.H_true, omega=design.omega,
                               surcharge=surcharge)
             G, phi = plan.G, plan.Phi
             out.update(lam=plan.lam[None], rates=plan.rates, Phi=phi, active=plan.active)

@@ -15,7 +15,7 @@ from . import capacity as cap
 from .compression import build_plan, quant_noise, waterfill
 from .dimred import DEGENERATE_PROJECTION_TOL, full_joint_mi, mfgs_select, signal_space_basis
 from .harness import run_trial, trial_stream
-from .linalg import NumericalError
+from .linalg import NumericalError, adjoint
 from .scenario import SystemConfig, generate_realization, power_control
 
 GAIN_IDENTITY_TOL = 1e-8
@@ -229,7 +229,7 @@ def run_validation(seed=0):
 
     # compression plan sanity at two rates in one stacked plan: monotone rates,
     # shrinking noise
-    plan = build_plan(Q, H, np.array([4.0, 8.0]), 5.0)
+    plan = build_plan(adjoint(Q) @ H, np.array([4.0, 8.0]), 5.0)
     mono = np.all(plan.rates[1] >= plan.rates[0] - 1e-12)
     phi_mono = np.all(plan.Phi[1] <= plan.Phi[0] * (1 + 1e-12))
     check("higher fronthaul rate never lowers a component rate or raises its noise",

@@ -23,7 +23,7 @@ def lmmse_weights(G, phi, rho):
 def _pipeline(cfg, seed, R=None):
     ch = generate_realization(cfg, np.random.default_rng(seed))
     sel = mfgs_select(ch.H, cfg.rho, cfg.N)
-    plan = build_plan(sel.Q, ch.H, cfg.fronthaul_rate if R is None else R, cfg.rho)
+    plan = build_plan(sel.T, cfg.fronthaul_rate if R is None else R, cfg.rho)
     return ch, sel, plan.G, plan.Phi
 
 
@@ -58,10 +58,10 @@ class TestSumCapacity:
         rho, R = 6.0, 5.0
         sel = mfgs_select(H, rho, 2)
         assert len(sel.S[0]) == 1 and np.all(sel.Q[0][:, 1] == 0)
-        plan = build_plan(sel.Q, H, R, rho)
+        plan = build_plan(sel.T, R, rho)
         assert np.isinf(plan.Phi[0, 1])
         # the same receivers planned on their real columns alone
-        real = [build_plan(sel.Q[l:l + 1, :, :len(s)], H[l:l + 1], R, rho)
+        real = [build_plan(sel.T[l:l + 1, :len(s)], R, rho)
                 for l, s in enumerate(sel.S)]
         G = np.concatenate([p.G[0] for p in real])
         phi = np.concatenate([p.Phi[0] for p in real])
@@ -206,7 +206,7 @@ class TestOrderingChain:
         sel = mfgs_select(ch.H, cfg.rho, cfg.N)
         prev = -1.0
         for R in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]:
-            plan = build_plan(sel.Q, ch.H, R, cfg.rho)
+            plan = build_plan(sel.T, R, cfg.rho)
             c = sum_capacity(plan.G, plan.Phi, cfg.rho)
             assert c >= prev - 1e-9
             prev = c

@@ -233,8 +233,9 @@ class TestQuantNoise:
         ch = generate_realization(cfg, np.random.default_rng(3))
         H_check, omega = whiten(ch.H, np.zeros((cfg.L, cfg.K)), cfg.rho)
         sel = mfgs_select(ch.H, cfg.rho, cfg.N)
-        plan_perf = build_plan(sel.Q, ch.H, 8.0, cfg.rho)
-        plan_csi = build_plan(sel.Q, H_check, 8.0, cfg.rho, H_true=ch.H, omega=omega)
+        plan_perf = build_plan(sel.T, 8.0, cfg.rho)
+        plan_csi = build_plan(sel.Q.conj().swapaxes(-1, -2) @ H_check, 8.0, cfg.rho, Q=sel.Q,
+                              H_true=ch.H, omega=omega)
         for a, b in zip(plan_perf.Phi, plan_csi.Phi):
             finite = np.isfinite(a)
             assert np.array_equal(finite, np.isfinite(b))
@@ -284,7 +285,7 @@ class TestBuildPlan:
         cfg = SystemConfig(K=6, L=3, M=4, N=2, rng_seed=1)
         ch = generate_realization(cfg, np.random.default_rng(1))
         sel = mfgs_select(ch.H, cfg.rho, cfg.N)
-        plan = build_plan(sel.Q, ch.H, 9.0, cfg.rho)
+        plan = build_plan(sel.T, 9.0, cfg.rho)
         for rates, n in zip(plan.rates, plan.active):
             if n >= 1:
                 assert abs(rates.sum() - 9.0) < 1e-9
@@ -293,7 +294,7 @@ class TestBuildPlan:
         cfg = SystemConfig(K=5, L=2, M=4, N=2, rng_seed=2)
         ch = generate_realization(cfg, np.random.default_rng(2))
         sel = mfgs_select(ch.H, cfg.rho, cfg.N)
-        plan = build_plan(sel.Q, ch.H, 400.0, cfg.rho)
+        plan = build_plan(sel.T, 400.0, cfg.rho)
         cap = sum_capacity(plan.G, plan.Phi, cfg.rho)
         assert abs(cap - sel.mi) < 1e-6
 
@@ -307,11 +308,13 @@ class TestBuildPlan:
                               cfg.rho)
             kw = dict(H_true=ch.H, omega=omega)
         sel = mfgs_select(H, cfg.rho, cfg.N)
+        if kw:
+            kw["Q"] = sel.Q
         for R in (1.0, 3.0, 9.0):
-            plan = build_plan(sel.Q, H, R, cfg.rho, surcharge=0.4, **kw)
+            plan = build_plan(sel.T, R, cfg.rho, surcharge=0.4, **kw)
             assert plan.G.shape == (3, 3, 6) and plan.Phi.shape == (3, 3)
             for l in range(3):
-                one = build_plan(sel.Q[l:l + 1], H[l:l + 1], R, cfg.rho, surcharge=0.4,
+                one = build_plan(sel.T[l:l + 1], R, cfg.rho, surcharge=0.4,
                                  **{k: v[l:l + 1] for k, v in kw.items()})
                 assert np.array_equal(one.rates[0], plan.rates[l])
                 assert np.array_equal(one.Phi[0], plan.Phi[l])
@@ -331,15 +334,17 @@ class TestBuildPlan:
             H, omega = whiten(*estimate_channels(ch, np.full(2, cfg.pilot_snr),
                                                  np.random.default_rng(7)), rho)
             kw = dict(H_true=ch.H, omega=omega)
-        Q = mfgs_select(H, rho, cfg.N).Q
+        sel = mfgs_select(H, rho, cfg.N)
+        if kw:
+            kw["Q"] = sel.Q
         R = np.array([0.0, 1.0, 3.0, 9.0])
-        plan = build_plan(Q, H, R, rho, surcharge=surcharge, **kw)
+        plan = build_plan(sel.T, R, rho, surcharge=surcharge, **kw)
         assert plan.G.shape == (2, 3, 3, 6) and plan.lam.shape == (2, 3, 3)
         assert plan.Phi.shape == plan.rates.shape == (4, 2, 3, 3)
         assert plan.active.shape == (4, 2, 3)
         for d in range(2):
             for i, r in enumerate(R):
-                one = build_plan(Q[d], H[d], r, rho[d], surcharge=surcharge,
+                one = build_plan(sel.T[d], r, rho[d], surcharge=surcharge,
                                  **{k: v if k == "H_true" else v[d] for k, v in kw.items()})
                 for field in ("lam", "G"):
                     assert np.array_equal(getattr(one, field), getattr(plan, field)[d])

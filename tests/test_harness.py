@@ -216,7 +216,7 @@ class TestRunTrial:
         assert [[k for k in row if k >= 0] for row in diag["users"].tolist()] == sel.S
         assert np.array_equal(diag["users"], sel.users)
         np.testing.assert_allclose(diag["mi_trajectory"], sel.mi_trajectory, rtol=1e-12)
-        plan = build_plan(sel.Q, H, cfg.fronthaul_rate, cfg.rho)
+        plan = build_plan(sel.T, cfg.fronthaul_rate, cfg.rho)
         for name in ("lam", "rates", "Phi"):
             np.testing.assert_allclose(diag[name], getattr(plan, name), rtol=1e-12, atol=0)
         assert np.array_equal(diag["active"], plan.active)
@@ -533,10 +533,10 @@ class TestRunSweep:
     def test_failure_inside_a_rate_stack_names_the_failing_rate(self, monkeypatch, csi):
         real = harness.build_plan
 
-        def fails_at_four(Q, H, R, *a, **k):
+        def fails_at_four(T, R, *a, **k):
             if np.any(np.asarray(R) == 4.0):
                 raise ArithmeticError("synthetic failure")
-            return real(Q, H, R, *a, **k)
+            return real(T, R, *a, **k)
         monkeypatch.setattr(harness, "build_plan", fails_at_four)
         spec = _spec(_cfg(pilot_snr=PILOT_SNR[csi]), values=[1.0, 4.0, 16.0],
                      outputs=("sum_capacity",))
@@ -548,10 +548,10 @@ class TestRunSweep:
     def test_failure_only_in_a_rate_stack_names_every_rate(self, monkeypatch):
         real = harness.build_plan
 
-        def fails_on_stacked_rates(Q, H, R, *a, **k):
+        def fails_on_stacked_rates(T, R, *a, **k):
             if np.size(R) > 1:
                 raise ArithmeticError("synthetic failure")
-            return real(Q, H, R, *a, **k)
+            return real(T, R, *a, **k)
         monkeypatch.setattr(harness, "build_plan", fails_on_stacked_rates)
         spec = _spec(values=[1.0, 4.0, 16.0], outputs=("sum_capacity",))
         with pytest.raises(RuntimeError, match=r"^trial 0 failed at fronthaul_rate=1.0, "
@@ -564,10 +564,10 @@ class TestRunSweep:
     def test_failure_inside_a_key_stack_names_the_failing_value(self, monkeypatch):
         real = harness.build_plan
 
-        def fails_at_ten(Q, H, R, rho, *a, **k):
+        def fails_at_ten(T, R, rho, *a, **k):
             if np.any(np.asarray(rho) == 10.0):
                 raise ArithmeticError("synthetic failure")
-            return real(Q, H, R, rho, *a, **k)
+            return real(T, R, rho, *a, **k)
         monkeypatch.setattr(harness, "build_plan", fails_at_ten)
         spec = _spec(_cfg(pilot_snr=10.0), sweep_variable="rho", values=[1.0, 10.0, 100.0],
                      outputs=("sum_capacity",))
@@ -580,10 +580,10 @@ class TestRunSweep:
     def _fail_at_three_columns(monkeypatch):
         real = harness.build_plan
 
-        def fails_at_n3(Q, *a, **k):
-            if Q.shape[-1] == 3:
+        def fails_at_n3(T, *a, **k):
+            if T.shape[-2] == 3:
                 raise ArithmeticError("synthetic failure")
-            return real(Q, *a, **k)
+            return real(T, *a, **k)
         monkeypatch.setattr(harness, "build_plan", fails_at_n3)
 
     def test_failure_inside_an_n_sweep_names_the_failing_dimension(self, monkeypatch):
@@ -633,10 +633,10 @@ class TestRunSweep:
         # the values re-run alone to name the failing one log neither advice nor skips
         real = harness.build_plan
 
-        def fails_at_six(Q, H, R, *a, **k):
+        def fails_at_six(T, R, *a, **k):
             if np.any(np.asarray(R) == 6.0):
                 raise ArithmeticError("synthetic failure")
-            return real(Q, H, R, *a, **k)
+            return real(T, R, *a, **k)
         monkeypatch.setattr(harness, "build_plan", fails_at_six)
         if rank1:
             monkeypatch.setattr(harness, "generate_realization",
@@ -714,14 +714,15 @@ class TestTrialChunks:
 
     def test_failure_at_one_trial_of_a_chunk_names_that_trial(self, monkeypatch):
         cfg = _cfg()
-        bad = generate_realization(cfg, trial_stream(cfg.rng_seed, 4, 0)).H
+        bad = mfgs_select(generate_realization(cfg, trial_stream(cfg.rng_seed, 4, 0)).H,
+                          cfg.rho, cfg.N).T
         real, chunks = harness.build_plan, []
 
-        def fails_at_trial_four(Q, H, R, *a, **k):
-            chunks.append(len(H))
-            if np.any(np.asarray(R) == 6.0) and any(np.array_equal(h[0], bad) for h in H):
+        def fails_at_trial_four(T, R, *a, **k):
+            chunks.append(len(T))
+            if np.any(np.asarray(R) == 6.0) and any(np.array_equal(t[0], bad) for t in T):
                 raise ArithmeticError("synthetic failure")
-            return real(Q, H, R, *a, **k)
+            return real(T, R, *a, **k)
         monkeypatch.setattr(harness, "build_plan", fails_at_trial_four)
         spec = _spec(cfg, values=[2.0, 6.0], trials=6, outputs=("sum_capacity",))
         with pytest.raises(RuntimeError, match=r"^trial 4 failed at fronthaul_rate=6.0 in mode "
@@ -769,13 +770,31 @@ class TestChunkBudget:
             assert np.array_equal(single[1][name], x), name
 
     def test_design_step_holds_each_stack_once(self, peak_bytes):
-        # a perfect-CSI design step on two (64,32,16,4) trials peaks at about 2.8x the
+        # a perfect-CSI design step on two (64,32,16,4) trials peaks at about 2.3x the
         # stacked channels; a second copy of the channels and the greedy's per-round
         # conjugate copies took it to 5.7x
         cfg = _cfg(K=64, L=32, M=16, N=4)
         keys = [(cfg.pilot_snr, cfg.rho)]
         stack = 2 * cfg.L * cfg.M * cfg.K * np.dtype(complex).itemsize
         assert peak_bytes(lambda: harness._designs(range(2), cfg, keys, 4, False)) <= 3.5 * stack
+
+    def test_pilot_design_step_holds_each_estimate_once(self, peak_bytes):
+        # 8 (8,4,8,2) trials x 6 pilot SNRs peak at about 4.4x the stacked channels;
+        # keeping the per-trial estimates beside their stack took 5.95x
+        cfg = _cfg(K=8, L=4, M=8, N=2, pilot_snr=10.0)
+        keys = [(p, cfg.rho) for p in (1.0, 3.0, 10.0, 30.0, 100.0, 1000.0)]
+        stack = 8 * len(keys) * cfg.L * cfg.M * cfg.K * np.dtype(complex).itemsize
+        assert peak_bytes(lambda: harness._designs(range(8), cfg, keys, 2, False)) <= 5.0 * stack
+
+    def test_sweep_after_selection_holds_only_reduced_channels(self, peak_bytes):
+        # a (64,32,16,4) sweep of 2 trials at 4 rates peaks at about 2.35x the stacked
+        # channels, set by the design step; with the design channels kept for the plans,
+        # the capacity stage took it to 3.47x
+        cfg = _cfg(K=64, L=32, M=16, N=4)
+        spec = _spec(cfg, values=[4.0, 8.0, 16.0, 32.0], trials=2,
+                     outputs=("sum_capacity", "user_capacity", "mi_proportion", "cutset"))
+        stack = 2 * cfg.L * cfg.M * cfg.K * np.dtype(complex).itemsize
+        assert peak_bytes(lambda: run_sweep(spec)) <= 2.8 * stack
 
 
 class TestCsv:
