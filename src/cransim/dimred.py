@@ -83,14 +83,15 @@ def mfgs_select(H, rho, N):
     where P projects out its already chosen directions. The winning projected
     channel, normalized, is the next Gram-Schmidt basis vector q. The inverse
     A = (I + rho * sum H'qq'H)^{-1} = I - sum u'u, over the steps' rows
-    u = q'H A / sqrt(1/rho + gain), is never formed: receiver l keeps
-    Y_l = H_l A H_l', which at its turn subtracts the rows added since its last
-    one, and forms its projected candidates W_l = H_l - Q_l T_l from the rows
-    f = q'W_l = q'H_l of its earlier steps (the result's T). The scores are
-    clamped at 0, as round-off can take a spent candidate below it. Ties within
-    a relative window go to the lowest user index. Degenerate projections are
-    excluded; if none remain the receiver is skipped for the round, which is
-    recorded as data only: pick -1, a zero column in Q and a zero row in T.
+    u = q'H A / sqrt(1/rho + gain), is never formed: receiver l forms
+    Y_l = H_l H_l' at its first turn and keeps Y_l = H_l A H_l', which at its
+    turn subtracts the rows added since its last one, and forms its projected
+    candidates W_l = H_l - Q_l T_l from the rows f = q'W_l = q'H_l of its
+    earlier steps (the result's T). The scores are clamped at 0, as round-off
+    can take a spent candidate below it. Ties within a relative window go to
+    the lowest user index. Degenerate projections are excluded; if none remain
+    the receiver is skipped for the round, which is recorded as data only:
+    pick -1, a zero column in Q and a zero row in T.
 
     H is the (..., L, M, K) stack of channel matrices and rho a scalar or an
     array in (0, MAX_RHO]; any leading axes of H and the shape of rho broadcast
@@ -112,10 +113,10 @@ def mfgs_select(H, rho, N):
     rho = np.full(batch, rho).reshape(-1)
     B = len(rho)
 
-    Y = H @ adjoint(H)                      # Y_l = H_l A H_l' once it has the rows so far
+    Y = np.empty((B, L, M, M), dtype=complex)      # Y_l = H_l A H_l' once it has the rows so far
     Uc = np.zeros((B, K, N * L), dtype=complex)    # the steps' rows u, stored as columns u'
     inv_rho = 1.0 / rho
-    avail = np.ones((B, L, K), dtype=bool)
+    floor = np.full((B, L, K), DEGENERATE_PROJECTION_TOL)     # inf once a user is taken
     picks = np.empty((B, L, N), dtype=int)
     Q = np.zeros((B, L, M, N), dtype=complex)
     T = np.zeros((B, L, N, K), dtype=complex)
@@ -129,12 +130,13 @@ def mfgs_select(H, rho, N):
             Wl = H[:, l] - Q[:, l, :, :rnd] @ T[:, l, :rnd] if rnd else H[:, l]  # projected
             pnorm2 = np.einsum("bmk,bmk->bk", Wl.view(float), Wl.view(float))   # re, im apart
             pnorm2 = pnorm2[:, ::2] + pnorm2[:, 1::2]
-            eligible = (pnorm2 > DEGENERATE_PROJECTION_TOL) & avail[:, l]
+            if not rnd:
+                np.matmul(H[:, l], adjoint(H[:, l]), out=Yl)
             Z = H[:, l] @ Uc[:, :, max(0, s - L):s]     # the rows since receiver l's last turn
             Yl -= Z @ adjoint(Z)
             num = np.maximum((Wl.conj() * (Yl @ Wl)).real.sum(axis=-2), 0.0)
             metric.fill(-np.inf)
-            np.divide(num, pnorm2, out=metric, where=eligible)
+            np.divide(num, pnorm2, out=metric, where=pnorm2 > floor[:, l])
 
             best = metric.max(axis=-1)
             window = ARGMAX_TIE_REL_TOL * np.maximum(1.0, np.abs(best))
@@ -156,7 +158,7 @@ def mfgs_select(H, rho, N):
             f = q.conj()[:, None, :] @ Wl
             u = f[:, 0].conj() - ((f @ Uc[:, :, :s]).conj() @ Uc[:, :, :s].swapaxes(1, 2))[:, 0]
             Uc[:, :, s] = u / np.sqrt(inv_rho + gain)[:, None]
-            avail[at, l, chosen] = False
+            floor[at, l, chosen] = np.inf
             picks[at, l, rnd] = chosen
             Q[:, l, :, rnd] = q
             T[:, l, rnd] = f[:, 0]

@@ -192,7 +192,7 @@ def _designs(trials, base, keys, nmax, baseline):
 
 # Memory budget of a trial chunk, in stacked (trial, key) channel elements: (8,4,8,2)
 # sweeps run in one chunk, and two (64,32,16,4) trials share one greedy run's steps.
-# The design step peaks at 2.3x the chunk's channel bytes there, 6.5x at (8,4,8,2), N = 8.
+# The design step peaks at 2.0x the chunk's channel bytes there, 6.7x at (8,4,8,2), N = 8.
 _CHUNK_ELEMENTS = 2 ** 16
 
 _CAPACITY_METRICS = {"sum_capacity", "lmmse_sum_capacity", "user_capacity", "sqinr"}

@@ -770,7 +770,7 @@ class TestChunkBudget:
             assert np.array_equal(single[1][name], x), name
 
     def test_design_step_holds_each_stack_once(self, peak_bytes):
-        # a perfect-CSI design step on two (64,32,16,4) trials peaks at about 2.3x the
+        # a perfect-CSI design step on two (64,32,16,4) trials peaks at about 2.0x the
         # stacked channels; a second copy of the channels and the greedy's per-round
         # conjugate copies took it to 5.7x
         cfg = _cfg(K=64, L=32, M=16, N=4)
@@ -787,14 +787,15 @@ class TestChunkBudget:
         assert peak_bytes(lambda: harness._designs(range(8), cfg, keys, 2, False)) <= 5.0 * stack
 
     def test_sweep_after_selection_holds_only_reduced_channels(self, peak_bytes):
-        # a (64,32,16,4) sweep of 2 trials at 4 rates peaks at about 2.35x the stacked
-        # channels, set by the design step; with the design channels kept for the plans,
-        # the capacity stage took it to 3.47x
+        # a (64,32,16,4) sweep of 2 trials at 4 rates peaks at about 2.1x the stacked
+        # channels, set by the design step; conjugate copies of the whole stack for the
+        # greedy's blocks and the full MI took it to 2.35x, and with the design channels
+        # kept for the plans, the capacity stage to 3.47x
         cfg = _cfg(K=64, L=32, M=16, N=4)
         spec = _spec(cfg, values=[4.0, 8.0, 16.0, 32.0], trials=2,
                      outputs=("sum_capacity", "user_capacity", "mi_proportion", "cutset"))
         stack = 2 * cfg.L * cfg.M * cfg.K * np.dtype(complex).itemsize
-        assert peak_bytes(lambda: run_sweep(spec)) <= 2.8 * stack
+        assert peak_bytes(lambda: run_sweep(spec)) <= 2.25 * stack
 
 
 class TestCsv:

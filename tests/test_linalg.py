@@ -54,3 +54,17 @@ class TestGram:
         assert B.shape == (3, 1, 6, 6)
         for i, r in enumerate(rho[:, 0]):
             assert np.array_equal(B[i], gram(X, r, phi))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("K,L,rows", [(6, 3, 4), (64, 8, 32)])
+    def test_stack_equals_each_element_alone(self, rng, weighted, K, L, rows):
+        # X (T, L, n, K) against phi (R, T, L, n), a rate axis X lacks: each Gram of the
+        # stack is exactly the Gram of its trial's matrices alone; the larger stack holds
+        # more than 2^15 elements, so its unweighted Gram runs one trial at a time
+        X = np.stack([random_channels(K, L, rows, rng) for _ in range(3)])
+        phi = rng.uniform(0.0, 5.0, (2,) + X.shape[:-1]) if weighted else None
+        B = gram(X, 7.0, phi)
+        assert B.shape == ((2, 3) if weighted else (3,)) + (K, K)
+        for idx in np.ndindex(B.shape[:-2]):
+            alone = gram(X[idx[-1]], 7.0, None if phi is None else phi[idx])
+            assert np.array_equal(B[idx], alone)
